@@ -67,7 +67,10 @@
 //! numbers to `target/llm-report.json` (`--report FILE` overrides), and
 //! exits 1 on any shard divergence. The LLM golden decision log
 //! (`tests/golden/decision_log_llm.jsonl`) is blessed and gated by the
-//! same `--bless-golden` / `--diff-golden` flags as the quick log.
+//! same `--bless-golden` / `--diff-golden` flags as the quick log, and so
+//! are the run fingerprints (`tests/golden/run_fingerprints.txt`: one
+//! FNV-1a hash over every `RunResult` field per scenario in
+//! `paldia_experiments::fingerprints`).
 //!
 //! `--faults SPEC` injects a deterministic fault schedule into every
 //! experiment whose cells do not already carry one (Fig. 13b keeps its
@@ -358,7 +361,8 @@ fn gate_one(
 
 /// `--diff-golden`: the CI regression gate — re-run both golden scenarios
 /// (the quick primary setting and the iteration-level LLM storm) and
-/// require bit-identical decision streams vs the committed logs.
+/// require bit-identical decision streams vs the committed logs, then
+/// re-run every fingerprint scenario and require its committed hash.
 fn run_golden_gate() -> ! {
     let quick_ok = gate_one("quick", &diffcap::golden_path(), diffcap::golden_gate);
     let llm_ok = gate_one(
@@ -366,13 +370,28 @@ fn run_golden_gate() -> ! {
         &llm_iter::llm_golden_path(),
         llm_iter::llm_golden_gate,
     );
-    if quick_ok && llm_ok {
+    let prints_ok = match fingerprints::gate() {
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+        Ok(mismatches) => {
+            for m in &mismatches {
+                println!("run fingerprint moved: {m}");
+            }
+            if mismatches.is_empty() {
+                println!("run fingerprint gate OK");
+            }
+            mismatches.is_empty()
+        }
+    };
+    if quick_ok && llm_ok && prints_ok {
         std::process::exit(0);
     }
     eprintln!(
-        "golden decision-log gate FAILED: the scheduler no longer reproduces the \
-         committed decision log.\nIf this change is intentional (a policy/tunable \
-         change), re-bless with scripts/rebless.sh and review the new log in the diff."
+        "golden gate FAILED: the build no longer reproduces the committed decision \
+         logs or run fingerprints.\nIf this change is intentional (a policy/tunable \
+         change), re-bless with scripts/rebless.sh and review the new files in the diff."
     );
     std::process::exit(1);
 }
@@ -542,10 +561,21 @@ fn main() {
         }
         let llm_path = llm_iter::llm_golden_path();
         match llm_iter::write_llm_golden(&llm_path) {
+            Ok(n) => println!(
+                "llm golden decision log re-blessed: {n} decision(s) -> {}",
+                llm_path.display()
+            ),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        }
+        let prints_path = fingerprints::golden_path();
+        match fingerprints::write_golden(&prints_path) {
             Ok(n) => {
                 println!(
-                    "llm golden decision log re-blessed: {n} decision(s) -> {}",
-                    llm_path.display()
+                    "run fingerprints re-blessed: {n} scenario(s) -> {}",
+                    prints_path.display()
                 );
                 return;
             }

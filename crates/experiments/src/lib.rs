@@ -30,6 +30,7 @@ pub mod fig09_llm;
 pub mod fig11_oracle;
 pub mod fig12_traces;
 pub mod fig13_adverse;
+pub mod fingerprints;
 pub mod llm_iter;
 pub mod replaycap;
 pub mod runner;
