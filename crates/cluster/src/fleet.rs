@@ -462,16 +462,36 @@ impl<'a> FleetHarness<'a> {
             }
             self.sync_worker(id, now, q);
         }
+        // Hardware transition. A request to upgrade *past* an in-flight
+        // transition target abandons the pending node (a surge outgrew the
+        // rung committed to moments ago) and provisions the new one; the
+        // abandoned lease is still billed for its short life.
         let want = decision.hw;
         let have = self.workers[&routing].1.kind;
-        // Inventory check: a unit must be free (or this is a retarget whose
-        // pending lease we give back first).
-        if want != have
-            && self.tenants[dep].pending_worker.is_none()
+        let retarget = want != have
             && self.leased_units(want) < self.inventory
             && self.catalog.contains(want)
             && !self.unavailable.contains(&want)
-        {
+            && match self.tenants[dep].pending_worker {
+                None => true,
+                Some(pid) => {
+                    let pending_kind = self.workers.get(&pid).map(|(_, w)| w.kind);
+                    let upgrade_past_pending = pending_kind.is_some_and(|pk| {
+                        want != pk && want.performance_index() > pk.performance_index()
+                    });
+                    if upgrade_past_pending {
+                        self.trace_scope(dep);
+                        self.tracer.emit(now, || TraceEventKind::TransitionEnded {
+                            worker: pid.0,
+                            committed: false,
+                        });
+                        self.release_worker(pid, now);
+                        self.tenants[dep].pending_worker = None;
+                    }
+                    upgrade_past_pending
+                }
+            };
+        if retarget {
             let id = self.provision_worker(dep, want, now, self.cfg.provision_delay, q);
             self.trace_scope(dep);
             self.tracer.emit(now, || TraceEventKind::TransitionBegan {
