@@ -1094,7 +1094,7 @@ fn run_fleet_impl<'a>(
         active_straggles: Vec::new(),
         tracer,
         dep_base: 0,
-        namespaced: false,
+        namespaced: true,
     };
     if harness.tracer.enabled() {
         for t in &mut harness.tenants {
