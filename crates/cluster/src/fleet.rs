@@ -3,41 +3,28 @@
 //!
 //! The paper evaluates one model deployment at a time against an elastic
 //! menu of instance kinds; a provider, though, runs many functions over the
-//! *same* six physical nodes (§I frames exactly this setting). This module
-//! generalizes the single-tenant harness: every deployment keeps its own
-//! gateway, batchers, predictors and scheduler, while node leases draw from
-//! a shared per-kind inventory — when another tenant holds the last V100,
-//! it simply is not in your catalog this interval.
+//! *same* six physical nodes (§I frames exactly this setting). A fleet is
+//! the one tenant-indexed [`crate::harness`] with more than one tenant:
+//! every deployment keeps its own gateway, batchers, predictors and
+//! scheduler, while node leases draw from a shared per-kind inventory —
+//! when another tenant holds the last V100, it simply is not in your
+//! catalog this interval. A single-tenant run is a fleet of one over
+//! elastic inventory, so every feature (faults, iteration-level batching,
+//! retargeted transitions) behaves the same in both.
 //!
-//! Kept separate from [`crate::harness`] on purpose: the single-tenant
-//! event ordering is calibrated against the paper and must stay
-//! byte-for-byte stable; the fleet is an extension, not a replacement.
-//! Faults are supported here too ([`crate::faults`]): a node-crash window
-//! fails *every* tenant's routing worker (a correlated outage of the
-//! serving nodes), evicting and requeueing each tenant's work on its
+//! Faults are fleet-wide ([`crate::faults`]): a node-crash window fails
+//! *every* tenant's routing worker (a correlated outage of the serving
+//! nodes), evicting and requeueing each tenant's work on its
 //! [`crate::faults::FailoverPolicy`] replacement under the shared
 //! inventory; degradation, straggler, and cold-start-storm windows hit all
 //! live workers.
 
-use crate::batcher::Batcher;
 use crate::config::SimConfig;
-use crate::container::ContainerId;
-use crate::faults::{CompiledFaults, FailoverPolicy, FaultEdge, FaultKind};
-use crate::policy::{Decision, ModelObs, Observation, Scheduler};
-use crate::request::{Batch, BatchId, CompletedRequest, Request, RequestId};
-use crate::result::{NodeStat, RunResult};
-use crate::worker::{Worker, WorkerId, WorkerState};
-use paldia_hw::{Catalog, CostMeter, InstanceKind};
-use paldia_obs::{BatchTrigger, TraceEventKind, TraceSink, Tracer};
-use paldia_sim::{
-    run_until, Calendar, EventQueue, PartitionCalendar, PartitionWorld, SimDuration, SimRng,
-    SimTime, WakeEvent, World,
-};
-use paldia_traces::{generate_arrivals, Predictor, RateWindow};
-use paldia_workloads::{MlModel, Profile};
-use std::collections::BTreeMap;
-
-use crate::harness::WorkloadSpec;
+use crate::harness::{run_harness, sample_tenants, Harness, Tenant, WorkloadSpec};
+use crate::policy::Scheduler;
+use crate::result::RunResult;
+use paldia_hw::{Catalog, InstanceKind};
+use paldia_obs::{TraceSink, Tracer};
 
 pub mod shard;
 
@@ -53,910 +40,23 @@ pub struct FleetDeployment {
     pub initial_hw: InstanceKind,
 }
 
-/// Per-tenant live state.
-pub(crate) struct Tenant {
-    scheduler: Box<dyn Scheduler>,
-    label: String,
-    routing: WorkerId,
-    pending_worker: Option<WorkerId>,
-    batchers: BTreeMap<MlModel, Batcher>,
-    deadline_at: BTreeMap<MlModel, Option<SimTime>>,
-    windows: BTreeMap<MlModel, RateWindow>,
-    predictors: BTreeMap<MlModel, Box<dyn Predictor>>,
-    models: Vec<MlModel>,
-    last_decision: Decision,
-    completed: Vec<CompletedRequest>,
-    arrived: BTreeMap<MlModel, u64>,
-    completed_count: BTreeMap<MlModel, u64>,
-    cost: CostMeter,
-    nodes: Vec<NodeStat>,
-    cold_starts: u64,
-    transitions: u64,
-    hw_timeline: Vec<(f64, InstanceKind)>,
-    /// Next worker ordinal under per-tenant id namespacing (sharded runs).
-    next_worker_local: u32,
-    /// Next batch ordinal under per-tenant id namespacing (sharded runs).
-    next_batch_local: u64,
-}
-
-/// Fleet events, tagged with the owning tenant (index into the harness's
-/// local tenant vector) where relevant.
-pub(crate) enum FEv {
-    Arrival(usize, Request),
-    BatchDeadline(usize, MlModel),
-    DeviceWake {
-        worker: WorkerId,
-        version: u64,
-    },
-    ContainerReady {
-        worker: WorkerId,
-        container: ContainerId,
-    },
-    WorkerReady(usize, WorkerId),
-    MonitorTick(usize),
-    PredictTick(usize),
-    KeepAliveTick,
-    /// A compiled fault edge; index into [`CompiledFaults::events`].
-    Fault(usize),
-}
-
-impl WakeEvent for FEv {
-    fn make_wake(worker: u32, version: u64) -> Self {
-        FEv::DeviceWake {
-            worker: WorkerId(worker),
-            version,
-        }
-    }
-}
-
-pub(crate) struct FleetHarness<'a> {
-    cfg: &'a SimConfig,
-    catalog: Catalog,
-    /// Units available per kind (the paper's cluster owns 1 of each).
-    inventory: u32,
-    tenants: Vec<Tenant>,
-    /// All live workers, with their owning tenant.
-    workers: BTreeMap<WorkerId, (usize, Worker)>,
-    next_worker_id: u32,
-    next_batch_id: u64,
-    trace_end: SimTime,
-
-    /// Compiled fault schedule for this run.
-    faults: CompiledFaults,
-    /// Failover rule applied on node crashes (shared by all tenants).
-    failover: Box<dyn FailoverPolicy>,
-    /// Kinds taken out by open crash windows.
-    unavailable: Vec<InstanceKind>,
-    /// Kinds each open crash window took down, for its End to restore.
-    crash_restore: BTreeMap<usize, Vec<InstanceKind>>,
-    /// Open degradation windows: (window index, severity).
-    active_degrades: Vec<(usize, f64)>,
-    /// Open straggler windows: (window index, multiplier).
-    active_straggles: Vec<(usize, f64)>,
-
-    /// Observability hook; events are scoped `1 + dep` per tenant
-    /// (scope 0 is reserved for fleet-global events like fault edges).
-    tracer: Tracer<'a>,
-
-    /// Global index of this harness's first tenant. The serial fleet runs
-    /// every tenant in one harness (`dep_base == 0`); a sharded run gives
-    /// each shard a contiguous chunk, and `dep_base` keeps worker/batch id
-    /// namespaces and trace scopes global.
-    dep_base: usize,
-    /// Per-tenant id namespacing: worker ids become
-    /// `(global dep << 20) | ordinal` and batch ids
-    /// `(global dep << 48) | ordinal`, so every tenant's ids are
-    /// independent of how tenants are grouped into shards. The serial
-    /// fleet keeps its original run-global counters.
-    namespaced: bool,
-}
-
-impl<'a> FleetHarness<'a> {
-    /// Point the tracer at a tenant's scope before emitting its events.
-    fn trace_scope(&mut self, dep: usize) {
-        self.tracer.set_scope((self.dep_base + dep) as u32 + 1);
-    }
-
-    fn leased_units(&self, kind: InstanceKind) -> u32 {
-        self.workers
-            .values()
-            .filter(|(_, w)| w.kind == kind)
-            .count() as u32
-    }
-
-    /// The catalog a tenant can draw from right now: kinds with a free
-    /// unit, excluding kinds taken out by an open crash window.
-    fn available_for(&self, _dep: usize) -> Catalog {
-        let free: Vec<InstanceKind> = self
-            .catalog
-            .kinds()
-            .iter()
-            .copied()
-            .filter(|&k| self.leased_units(k) < self.inventory && !self.unavailable.contains(&k))
-            .collect();
-        Catalog::of(&free)
-    }
-
-    fn provision_worker<C: Calendar<FEv>>(
-        &mut self,
-        dep: usize,
-        kind: InstanceKind,
-        now: SimTime,
-        delay: SimDuration,
-        q: &mut C,
-    ) -> WorkerId {
-        let id = if self.namespaced {
-            let gdep = (self.dep_base + dep) as u32;
-            let t = &mut self.tenants[dep];
-            let local = t.next_worker_local;
-            t.next_worker_local += 1;
-            WorkerId((gdep << 20) | local)
-        } else {
-            let id = WorkerId(self.next_worker_id);
-            self.next_worker_id += 1;
-            id
-        };
-        let raw = self.cfg.sebs_mix.contention_factor(kind.host_vcpus());
-        let host_contention = if kind.is_gpu() { raw * 0.3 } else { raw };
-        let mut w = Worker::provision(
-            id,
-            kind,
-            now,
-            delay,
-            self.cfg.initial_containers,
-            self.cfg.cold_start,
-            self.cfg.keep_alive,
-            host_contention,
-        );
-        // Faults already in progress apply to the newcomer too.
-        let sev = self.degrade_severity();
-        if sev > 0.0 {
-            w.set_degradation(now, sev);
-        }
-        let mult = self.straggle_multiplier();
-        if mult > 1.0 {
-            w.set_cold_start_multiplier(mult);
-        }
-        self.workers.insert(id, (dep, w));
-        q.schedule(now + delay, FEv::WorkerReady(dep, id));
-        let ready_at = now + delay;
-        self.trace_scope(dep);
-        self.tracer.emit(now, || TraceEventKind::WorkerProvisioned {
-            worker: id.0,
-            hw: kind,
-            ready_at,
-        });
-        id
-    }
-
-    fn release_worker(&mut self, id: WorkerId, now: SimTime) {
-        if let Some((dep, mut w)) = self.workers.remove(&id) {
-            let kind = w.kind;
-            self.trace_scope(dep);
-            self.tracer.emit(now, || TraceEventKind::WorkerReleased {
-                worker: id.0,
-                hw: kind,
-            });
-            w.device.advance(now);
-            let lease_s = now.saturating_since(w.lease_start).as_secs_f64();
-            let t = &mut self.tenants[dep];
-            t.cost.add_usage_hours(w.kind, lease_s / 3_600.0);
-            t.cold_starts += w.pool.cold_starts();
-            t.nodes.push(NodeStat {
-                kind: w.kind,
-                lease_start_s: w.lease_start.as_secs_f64(),
-                lease_s,
-                busy_s: w.device.busy_seconds(),
-            });
-        }
-    }
-
-    fn sync_worker<C: Calendar<FEv>>(&mut self, id: WorkerId, now: SimTime, q: &mut C) {
-        let Some((dep, w)) = self.workers.get_mut(&id) else {
-            return;
-        };
-        let dep = *dep;
-        self.tracer.set_scope((self.dep_base + dep) as u32 + 1);
-        let (_admitted, container_short) = w.admit_ready(now, &mut self.tracer);
-        if container_short && w.is_active() {
-            let models = self.tenants[dep].models.clone();
-            let (_, w) = self
-                .workers
-                .get_mut(&id)
-                .expect("invariant: worker id taken from the live set");
-            let queued: u32 = models.iter().map(|&m| w.queued(m) as u32).sum();
-            let free = w.pool.warm_free();
-            let busy = w.pool.busy();
-            let booting = (w.pool.len() as u32).saturating_sub(free + busy);
-            let deficit = queued.saturating_sub(free + booting);
-            for _ in 0..deficit {
-                let (cid, ready) = w.pool.spawn(now);
-                self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                    worker: id.0,
-                    container: cid.0,
-                    ready_at: ready,
-                });
-                q.schedule(
-                    ready,
-                    FEv::ContainerReady {
-                        worker: id,
-                        container: cid,
-                    },
-                );
-            }
-        }
-        let (_, w) = self
-            .workers
-            .get_mut(&id)
-            .expect("invariant: worker id taken from the live set");
-        if let Some(t) = w.device.next_completion() {
-            let version = w.device.version();
-            let at = if t <= now {
-                now + SimDuration::from_micros(1)
-            } else {
-                t
-            };
-            q.arm_wake(id.0, at, version);
-        }
-        let done = {
-            let (_, w) = &self.workers[&id];
-            w.state == WorkerState::Draining && w.is_idle()
-        };
-        if done {
-            self.release_worker(id, now);
-        }
-    }
-
-    fn dispatch<C: Calendar<FEv>>(&mut self, dep: usize, batch: Batch, now: SimTime, q: &mut C) {
-        let target = self.tenants[dep].routing;
-        if let Some((_, w)) = self.workers.get_mut(&target) {
-            let (batch_id, model, hw) = (batch.id.0, batch.model, w.kind);
-            self.tracer.set_scope((self.dep_base + dep) as u32 + 1);
-            self.tracer.emit(now, || TraceEventKind::BatchDispatched {
-                batch: batch_id,
-                model,
-                worker: target.0,
-                hw,
-            });
-            w.enqueue(batch);
-        }
-        self.sync_worker(target, now, q);
-    }
-
-    /// Trace a batch closing at a tenant's gateway.
-    fn trace_batch_formed(
-        &mut self,
-        dep: usize,
-        batch: &Batch,
-        now: SimTime,
-        trigger: BatchTrigger,
-    ) {
-        self.trace_scope(dep);
-        self.tracer.emit(now, || TraceEventKind::BatchFormed {
-            batch: batch.id.0,
-            model: batch.model,
-            size: batch.size(),
-            requests: batch.requests.iter().map(|r| r.id.0).collect(),
-            trigger,
-        });
-    }
-
-    fn ensure_deadline<C: Calendar<FEv>>(
-        &mut self,
-        dep: usize,
-        model: MlModel,
-        now: SimTime,
-        q: &mut C,
-    ) {
-        let t = &mut self.tenants[dep];
-        let next = t.batchers.get(&model).and_then(|b| b.next_deadline());
-        let slot = t.deadline_at.entry(model).or_insert(None);
-        match next {
-            Some(d) => {
-                let at = d.max(now);
-                if *slot != Some(at) {
-                    *slot = Some(at);
-                    q.schedule(at, FEv::BatchDeadline(dep, model));
-                }
-            }
-            None => *slot = None,
-        }
-    }
-
-    fn observation(&mut self, dep: usize, now: SimTime) -> Observation {
-        let lookahead =
-            self.cfg.provision_delay.as_secs_f64() / self.cfg.monitor_interval.as_secs_f64();
-        let available = {
-            // Kinds this tenant could procure: free units, plus whatever it
-            // already holds (its current node is always "available" to it).
-            let mut avail = self.available_for(dep);
-            let held: Vec<InstanceKind> = self
-                .workers
-                .values()
-                .filter(|(d, _)| *d == dep)
-                .map(|(_, w)| w.kind)
-                .collect();
-            let mut kinds = avail.kinds().to_vec();
-            for k in held {
-                if !kinds.contains(&k) {
-                    kinds.push(k);
-                }
-            }
-            avail = Catalog::of(&kinds);
-            avail
-        };
-        let models = self.tenants[dep].models.clone();
-        let mut model_obs = Vec::with_capacity(models.len());
-        for m in models {
-            let t = &mut self.tenants[dep];
-            let observed = t.windows.get_mut(&m).map_or(0.0, |w| w.estimate(now));
-            let predictor = t
-                .predictors
-                .get_mut(&m)
-                .expect("invariant: predictors are registered for every model at construction");
-            predictor.observe(observed);
-            let predicted = predictor.predict(lookahead);
-            let pending_batcher = t.batchers.get(&m).map_or(0, |b| b.pending() as u64);
-            let pending_queued: u64 = self
-                .workers
-                .values()
-                .filter(|(d, _)| *d == dep)
-                .map(|(_, w)| w.queued_requests(m))
-                .sum();
-            let executing = self
-                .workers
-                .get(&self.tenants[dep].routing)
-                .map_or(0, |(_, w)| w.executing_of(m));
-            model_obs.push(ModelObs {
-                model: m,
-                pending_requests: pending_batcher + pending_queued,
-                executing_batches: executing,
-                observed_rps: observed,
-                predicted_rps: predicted,
-                kv_demand_tokens: 0,
-            });
-        }
-        let t = &self.tenants[dep];
-        Observation {
-            now,
-            slo_ms: self.cfg.slo_ms,
-            current_hw: self.workers[&t.routing].1.kind,
-            transitioning: t.pending_worker.is_some(),
-            pending_hw: t
-                .pending_worker
-                .and_then(|id| self.workers.get(&id))
-                .map(|(_, w)| w.kind),
-            available,
-            models: model_obs,
-        }
-    }
-
-    fn apply_decision<C: Calendar<FEv>>(
-        &mut self,
-        dep: usize,
-        decision: Decision,
-        now: SimTime,
-        q: &mut C,
-    ) {
-        let routing = self.tenants[dep].routing;
-        let routing_kind = self.workers[&routing].1.kind;
-        for &(model, md) in &decision.per_model {
-            let budget = 0.8 * self.cfg.slo_ms;
-            let cap = Profile::max_batch_within(model, routing_kind, budget).unwrap_or(1);
-            let bs = md.batch_size.clamp(1, cap.max(1));
-            if let Some(b) = self.tenants[dep].batchers.get_mut(&model) {
-                b.set_batch_size(bs);
-            }
-        }
-        let per_model: Vec<(MlModel, u32)> = decision
-            .per_model
-            .iter()
-            .map(|&(m, md)| (m, md.spatial_cap))
-            .collect();
-        for id in [Some(routing), self.tenants[dep].pending_worker]
-            .into_iter()
-            .flatten()
-        {
-            if let Some((_, w)) = self.workers.get_mut(&id) {
-                w.set_caps(decision.total_cap, &per_model);
-            }
-            self.sync_worker(id, now, q);
-        }
-        // Hardware transition. A request to upgrade *past* an in-flight
-        // transition target abandons the pending node (a surge outgrew the
-        // rung committed to moments ago) and provisions the new one; the
-        // abandoned lease is still billed for its short life.
-        let want = decision.hw;
-        let have = self.workers[&routing].1.kind;
-        let retarget = want != have
-            && self.leased_units(want) < self.inventory
-            && self.catalog.contains(want)
-            && !self.unavailable.contains(&want)
-            && match self.tenants[dep].pending_worker {
-                None => true,
-                Some(pid) => {
-                    let pending_kind = self.workers.get(&pid).map(|(_, w)| w.kind);
-                    let upgrade_past_pending = pending_kind.is_some_and(|pk| {
-                        want != pk && want.performance_index() > pk.performance_index()
-                    });
-                    if upgrade_past_pending {
-                        self.trace_scope(dep);
-                        self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                            worker: pid.0,
-                            committed: false,
-                        });
-                        self.release_worker(pid, now);
-                        self.tenants[dep].pending_worker = None;
-                    }
-                    upgrade_past_pending
-                }
-            };
-        if retarget {
-            let id = self.provision_worker(dep, want, now, self.cfg.provision_delay, q);
-            self.trace_scope(dep);
-            self.tracer.emit(now, || TraceEventKind::TransitionBegan {
-                worker: id.0,
-                from: have,
-                to: want,
-            });
-            if let Some((_, w)) = self.workers.get_mut(&id) {
-                w.set_caps(decision.total_cap, &per_model);
-            }
-            self.tenants[dep].pending_worker = Some(id);
-        }
-        self.tenants[dep].last_decision = decision;
-    }
-
-    /// Combined severity of every open degradation window.
-    fn degrade_severity(&self) -> f64 {
-        self.active_degrades.iter().map(|&(_, s)| s).sum()
-    }
-
-    /// Strongest multiplier among open straggler windows (1 = healthy).
-    fn straggle_multiplier(&self) -> f64 {
-        self.active_straggles
-            .iter()
-            .map(|&(_, m)| m)
-            .fold(1.0, f64::max)
-    }
-
-    /// Worker ids in deterministic (provisioning) order — fault effects
-    /// touch every worker. `BTreeMap` keys already iterate sorted; this
-    /// keeps the explicit contract at the call sites.
-    fn worker_ids_sorted(&self) -> Vec<WorkerId> {
-        self.workers.keys().copied().collect()
-    }
-
-    /// Crash one tenant's routing worker: evict and requeue its work on the
-    /// failover replacement, leased under the shared (post-crash) inventory.
-    /// Returns the failed kind, if the tenant had a live routing worker.
-    pub(crate) fn fail_tenant<C: Calendar<FEv>>(
-        &mut self,
-        dep: usize,
-        now: SimTime,
-        q: &mut C,
-    ) -> Option<InstanceKind> {
-        let failed_id = self.tenants[dep].routing;
-        let failed_kind = self.workers.get(&failed_id).map(|(_, w)| w.kind)?;
-        let rescued = self
-            .workers
-            .get_mut(&failed_id)
-            .map(|(_, w)| w.fail(now))
-            .unwrap_or_default();
-        self.release_worker(failed_id, now);
-        if !self.unavailable.contains(&failed_kind) {
-            self.unavailable.push(failed_kind);
-        }
-        // Abort any in-flight transition targeting the failed kind.
-        if let Some(pid) = self.tenants[dep].pending_worker {
-            if self.workers.get(&pid).map(|(_, w)| w.kind) == Some(failed_kind) {
-                self.trace_scope(dep);
-                self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                    worker: pid.0,
-                    committed: false,
-                });
-                self.release_worker(pid, now);
-                self.tenants[dep].pending_worker = None;
-            }
-        }
-        let avail = self.available_for(dep);
-        let chosen = self.failover.replacement(failed_kind, &avail);
-        let replacement = chosen.unwrap_or(failed_kind);
-        let policy = self.failover.name();
-        self.trace_scope(dep);
-        self.tracer.emit(now, || TraceEventKind::Failover {
-            failed: failed_kind,
-            replacement: chosen,
-            policy,
-        });
-        let id = self.provision_worker(dep, replacement, now, self.cfg.failover_delay, q);
-        let per_model: Vec<(MlModel, u32)> = self.tenants[dep]
-            .last_decision
-            .per_model
-            .iter()
-            .map(|&(m, md)| (m, md.spatial_cap))
-            .collect();
-        let total_cap = self.tenants[dep].last_decision.total_cap;
-        if let Some((_, w)) = self.workers.get_mut(&id) {
-            w.set_caps(total_cap, &per_model);
-            for b in rescued {
-                w.enqueue_front(b);
-            }
-        }
-        self.tenants[dep].routing = id;
-        self.tenants[dep].transitions += 1;
-        self.tenants[dep]
-            .hw_timeline
-            .push((now.as_secs_f64(), replacement));
-        Some(failed_kind)
-    }
-
-    /// Push the current degradation severity to every device and refresh
-    /// completion wake-ups (the slowdown changed mid-flight).
-    pub(crate) fn apply_degradation<C: Calendar<FEv>>(&mut self, now: SimTime, q: &mut C) {
-        let sev = self.degrade_severity();
-        for id in self.worker_ids_sorted() {
-            if let Some((_, w)) = self.workers.get_mut(&id) {
-                w.set_degradation(now, sev);
-            }
-            self.sync_worker(id, now, q);
-        }
-    }
-
-    /// Push the current straggler multiplier to every pool (affects only
-    /// cold starts begun from now on — no events to refresh).
-    fn apply_straggle(&mut self) {
-        let mult = self.straggle_multiplier();
-        for (_, w) in self.workers.values_mut() {
-            w.set_cold_start_multiplier(mult);
-        }
-    }
-}
-
-impl<'a> FleetHarness<'a> {
-    /// Process one event — the single copy of the fleet domain logic,
-    /// generic over the calendar so the serial and partitioned engines
-    /// drive identical behaviour.
-    fn on_event<C: Calendar<FEv>>(&mut self, now: SimTime, ev: FEv, q: &mut C) {
-        match ev {
-            FEv::Arrival(dep, req) => {
-                let model = req.model;
-                {
-                    let t = &mut self.tenants[dep];
-                    *t.arrived.entry(model).or_insert(0) += 1;
-                    if let Some(w) = t.windows.get_mut(&model) {
-                        w.record(now);
-                    }
-                }
-                let rid = req.id.0;
-                self.trace_scope(dep);
-                self.tracer.emit(now, || TraceEventKind::RequestArrived {
-                    request: rid,
-                    model,
-                });
-                let namespaced = self.namespaced;
-                let gbase = ((self.dep_base + dep) as u64) << 48;
-                let mut next_id = if namespaced {
-                    self.tenants[dep].next_batch_local
-                } else {
-                    self.next_batch_id
-                };
-                let batch = {
-                    let t = &mut self.tenants[dep];
-                    let b = t.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(if namespaced { gbase | next_id } else { next_id })
-                    };
-                    b.push(req, now, &mut alloc)
-                };
-                if namespaced {
-                    self.tenants[dep].next_batch_local = next_id;
-                } else {
-                    self.next_batch_id = next_id;
-                }
-                if let Some(batch) = batch {
-                    self.trace_batch_formed(dep, &batch, now, BatchTrigger::Size);
-                    self.dispatch(dep, batch, now, q);
-                }
-                self.ensure_deadline(dep, model, now, q);
-            }
-            FEv::BatchDeadline(dep, model) => {
-                if self.tenants[dep].deadline_at.get(&model).copied().flatten() != Some(now) {
-                    return;
-                }
-                self.tenants[dep].deadline_at.insert(model, None);
-                let routing = self.tenants[dep].routing;
-                let backlogged = self
-                    .workers
-                    .get(&routing)
-                    .is_some_and(|(_, w)| w.queued(model) > 0);
-                if backlogged {
-                    let next = now + self.cfg.batch_window;
-                    self.tenants[dep].deadline_at.insert(model, Some(next));
-                    q.schedule(next, FEv::BatchDeadline(dep, model));
-                    return;
-                }
-                let namespaced = self.namespaced;
-                let gbase = ((self.dep_base + dep) as u64) << 48;
-                let mut next_id = if namespaced {
-                    self.tenants[dep].next_batch_local
-                } else {
-                    self.next_batch_id
-                };
-                let batch = {
-                    let t = &mut self.tenants[dep];
-                    let b = t.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(if namespaced { gbase | next_id } else { next_id })
-                    };
-                    b.flush_if_due(now, &mut alloc)
-                };
-                if namespaced {
-                    self.tenants[dep].next_batch_local = next_id;
-                } else {
-                    self.next_batch_id = next_id;
-                }
-                if let Some(batch) = batch {
-                    self.trace_batch_formed(dep, &batch, now, BatchTrigger::Window);
-                    self.dispatch(dep, batch, now, q);
-                }
-                self.ensure_deadline(dep, model, now, q);
-            }
-            FEv::DeviceWake { worker, version } => {
-                let Some((dep, w)) = self.workers.get_mut(&worker) else {
-                    return;
-                };
-                if w.device.version() != version {
-                    return;
-                }
-                let dep = *dep;
-                let kind = w.kind;
-                let done = w.collect_completions(now);
-                self.trace_scope(dep);
-                for (batch, started, solo_ms) in &done {
-                    let size = batch.size();
-                    let (batch_id, batch_model) = (batch.id.0, batch.model);
-                    let (started_at, solo) = (*started, *solo_ms);
-                    self.tracer.emit(now, || TraceEventKind::BatchCompleted {
-                        batch: batch_id,
-                        model: batch_model,
-                        worker: worker.0,
-                        hw: kind,
-                        started: started_at,
-                        solo_ms: solo,
-                        size,
-                    });
-                    let t = &mut self.tenants[dep];
-                    for r in &batch.requests {
-                        t.completed.push(CompletedRequest {
-                            id: r.id,
-                            model: r.model,
-                            arrival: r.arrival,
-                            batch_closed: batch.closed_at,
-                            exec_start: *started,
-                            completed: now,
-                            solo_ms: *solo_ms,
-                            hw: kind,
-                            batch_size: size,
-                        });
-                    }
-                    *t.completed_count.entry(batch.model).or_insert(0) += size as u64;
-                }
-                self.sync_worker(worker, now, q);
-            }
-            FEv::ContainerReady { worker, container } => {
-                if let Some((dep, w)) = self.workers.get_mut(&worker) {
-                    let dep = *dep;
-                    w.pool.mark_warm(container, now);
-                    self.trace_scope(dep);
-                    self.tracer.emit(now, || TraceEventKind::ColdStartFinished {
-                        worker: worker.0,
-                        container: container.0,
-                    });
-                }
-                self.sync_worker(worker, now, q);
-            }
-            FEv::WorkerReady(dep, id) => {
-                let Some((_, w)) = self.workers.get_mut(&id) else {
-                    return;
-                };
-                if w.state != WorkerState::Failed {
-                    w.state = WorkerState::Active;
-                }
-                if self.tenants[dep].pending_worker == Some(id) {
-                    self.tenants[dep].pending_worker = None;
-                    let old = self.tenants[dep].routing;
-                    self.tenants[dep].routing = id;
-                    self.tenants[dep].transitions += 1;
-                    let kind = self.workers[&id].1.kind;
-                    self.tenants[dep]
-                        .hw_timeline
-                        .push((now.as_secs_f64(), kind));
-                    let from = self.workers.get(&old).map(|(_, w)| w.kind);
-                    self.trace_scope(dep);
-                    self.tracer.emit(now, || TraceEventKind::TransitionEnded {
-                        worker: id.0,
-                        committed: true,
-                    });
-                    self.tracer.emit(now, || TraceEventKind::HwSwitched {
-                        worker: id.0,
-                        from,
-                        to: kind,
-                    });
-                    let moved = self
-                        .workers
-                        .get_mut(&old)
-                        .map(|(_, w)| {
-                            w.state = WorkerState::Draining;
-                            w.take_queued()
-                        })
-                        .unwrap_or_default();
-                    if let Some((_, new_w)) = self.workers.get_mut(&id) {
-                        for b in moved {
-                            new_w.enqueue(b);
-                        }
-                    }
-                    self.tenants[dep].scheduler.on_transition_complete(kind);
-                    self.sync_worker(old, now, q);
-                }
-                self.sync_worker(id, now, q);
-            }
-            FEv::MonitorTick(dep) => {
-                let obs = self.observation(dep, now);
-                let decision = self.tenants[dep].scheduler.decide(&obs);
-                if self.tracer.enabled() {
-                    self.trace_scope(dep);
-                    for ev in self.tenants[dep].scheduler.drain_decision_events() {
-                        self.tracer
-                            .emit(now, move || TraceEventKind::Decision(Box::new(ev)));
-                    }
-                }
-                self.apply_decision(dep, decision, now, q);
-                let next = now + self.cfg.monitor_interval;
-                if next < self.trace_end {
-                    q.schedule(next, FEv::MonitorTick(dep));
-                }
-            }
-            FEv::PredictTick(dep) => {
-                let routing = self.tenants[dep].routing;
-                let kind = self.workers[&routing].1.kind;
-                let mut target = 1u32;
-                for &m in &self.tenants[dep].models.clone() {
-                    let t = &mut self.tenants[dep];
-                    let pred = t.predictors.get(&m).map_or(0.0, |p| p.predict(1.0));
-                    let bs = t.batchers.get(&m).map_or(1, |b| b.batch_size()).max(1);
-                    let solo_s = Profile::solo_ms(m, kind, bs) / 1_000.0;
-                    target += (pred * solo_s / bs as f64).ceil() as u32;
-                }
-                if let Some((_, w)) = self.workers.get_mut(&routing) {
-                    if w.is_active() {
-                        for (cid, ready) in w.pool.prewarm_to(target, now) {
-                            self.tracer.set_scope((self.dep_base + dep) as u32 + 1);
-                            self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                                worker: routing.0,
-                                container: cid.0,
-                                ready_at: ready,
-                            });
-                            q.schedule(
-                                ready,
-                                FEv::ContainerReady {
-                                    worker: routing,
-                                    container: cid,
-                                },
-                            );
-                        }
-                    }
-                }
-                let next = now + self.cfg.predictive_interval;
-                if next < self.trace_end {
-                    q.schedule(next, FEv::PredictTick(dep));
-                }
-            }
-            FEv::KeepAliveTick => {
-                for (_, w) in self.workers.values_mut() {
-                    w.pool.reap_idle(now);
-                }
-                let next = now + SimDuration::from_secs(60);
-                if next < self.trace_end {
-                    q.schedule(next, FEv::KeepAliveTick);
-                }
-            }
-            FEv::Fault(idx) => {
-                let fe = self.faults.events[idx];
-                let fault = self.faults.windows[fe.window].fault;
-                let win = fe.window as u32;
-                let started = fe.edge == FaultEdge::Start;
-                self.tracer.set_scope(0);
-                self.tracer.emit(now, || TraceEventKind::FaultEdge {
-                    window: win,
-                    desc: format!("{fault:?}"),
-                    started,
-                });
-                match (fault, fe.edge) {
-                    (FaultKind::NodeCrash, FaultEdge::Start) => {
-                        let mut failed = Vec::new();
-                        for dep in 0..self.tenants.len() {
-                            if let Some(kind) = self.fail_tenant(dep, now, q) {
-                                if !failed.contains(&kind) {
-                                    failed.push(kind);
-                                }
-                            }
-                        }
-                        self.crash_restore.insert(fe.window, failed);
-                    }
-                    (FaultKind::NodeCrash, FaultEdge::End) => {
-                        for kind in self.crash_restore.remove(&fe.window).unwrap_or_default() {
-                            if let Some(pos) = self.unavailable.iter().position(|&k| k == kind) {
-                                self.unavailable.remove(pos);
-                            }
-                        }
-                    }
-                    (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
-                        self.active_degrades.push((fe.window, severity));
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
-                        self.active_degrades.retain(|&(i, _)| i != fe.window);
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
-                        self.active_straggles.push((fe.window, multiplier));
-                        self.apply_straggle();
-                    }
-                    (FaultKind::Straggler { .. }, FaultEdge::End) => {
-                        self.active_straggles.retain(|&(i, _)| i != fe.window);
-                        self.apply_straggle();
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::Start) => {
-                        for id in self.worker_ids_sorted() {
-                            if let Some((_, w)) = self.workers.get_mut(&id) {
-                                w.purge_warm_containers();
-                            }
-                        }
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::End) => {}
-                }
-            }
-        }
-    }
-}
-
-impl<'a> World for FleetHarness<'a> {
-    type Event = FEv;
-
-    fn handle(&mut self, now: SimTime, ev: FEv, q: &mut EventQueue<FEv>) {
-        self.on_event(now, ev, q);
-    }
-}
-
-impl<'a> PartitionWorld for FleetHarness<'a> {
-    fn handle_part(&mut self, now: SimTime, ev: FEv, cal: &mut PartitionCalendar<FEv>) {
-        self.on_event(now, ev, cal);
-    }
-}
-
 /// Run a fleet of deployments over a shared inventory (`units_per_kind`
 /// copies of each catalog kind — 1 mirrors the paper's physical cluster).
 /// Returns one [`RunResult`] per deployment, in input order.
 pub fn run_fleet(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
 ) -> Vec<RunResult> {
-    run_fleet_impl(
-        deployments,
+    run_serial(
+        &mut deployments,
         catalog,
         units_per_kind,
         cfg,
         Tracer::disabled(),
     )
+    .0
 }
 
 /// Like [`run_fleet`], but records the observability stream into `sink`.
@@ -964,210 +64,55 @@ pub fn run_fleet(
 /// so a chrome-trace export shows one process lane per deployment. Metrics
 /// are bit-identical to an untraced run with the same inputs.
 pub fn run_fleet_traced(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
     sink: &mut dyn TraceSink,
 ) -> Vec<RunResult> {
-    run_fleet_impl(deployments, catalog, units_per_kind, cfg, Tracer::new(sink))
+    run_serial(
+        &mut deployments,
+        catalog,
+        units_per_kind,
+        cfg,
+        Tracer::new(sink),
+    )
+    .0
 }
 
-/// Everything a fleet run needs before an engine is chosen: per-tenant
-/// state, per-tenant arrival streams, and the trace horizon.
-///
-/// Arrival generation is inherently serial — [`SimRng::fork`] consumes
-/// entropy from the parent stream and request ids come from one global
-/// counter — so both the serial engine and the sharded coordinator build
-/// their inputs here, deployment-major, and only then distribute work.
-pub(crate) struct FleetSetup {
-    pub(crate) tenants: Vec<Tenant>,
-    /// Per-deployment arrivals in schedule order (the order the serial
-    /// engine would have `q.schedule`d them).
-    pub(crate) arrivals: Vec<Vec<Request>>,
-    pub(crate) trace_end: SimTime,
-}
-
-/// Build every tenant and generate every arrival, deployment-major.
-pub(crate) fn prepare_fleet(deployments: Vec<FleetDeployment>, cfg: &SimConfig) -> FleetSetup {
-    let mut rng = SimRng::new(cfg.seed);
-    let mut trace_end = SimTime::ZERO;
-    let mut req_id = 0u64;
-    let mut tenants = Vec::new();
-    let mut arrivals: Vec<Vec<Request>> = Vec::new();
-    let window = cfg.provision_delay.max(SimDuration::from_secs(2));
-
-    for (dep, d) in deployments.into_iter().enumerate() {
-        let mut models = Vec::new();
-        let mut reqs = Vec::new();
-        for spec in &d.workloads {
-            models.push(spec.model);
-            let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
-            for t in generate_arrivals(&spec.trace, &mut model_rng) {
-                req_id += 1;
-                reqs.push(Request {
-                    id: RequestId(req_id),
-                    model: spec.model,
-                    arrival: t,
-                });
+/// The fleet's tenants, borrowing each deployment's scheduler; tenant `i`
+/// has global index `i`. Traced runs record decision events.
+pub(crate) fn fleet_tenants<'a>(
+    deployments: &'a mut [FleetDeployment],
+    cfg: &SimConfig,
+    traced: bool,
+) -> Vec<Tenant<'a>> {
+    deployments
+        .iter_mut()
+        .enumerate()
+        .map(|(i, d)| {
+            if traced {
+                d.scheduler.set_decision_recording(true);
             }
-            let end = SimTime::ZERO + spec.trace.duration();
-            if end > trace_end {
-                trace_end = end;
-            }
-        }
-        arrivals.push(reqs);
-        tenants.push(Tenant {
-            scheduler: d.scheduler,
-            label: d.name,
-            routing: WorkerId(0),
-            pending_worker: None,
-            batchers: d
-                .workloads
-                .iter()
-                .map(|s| {
-                    (
-                        s.model,
-                        Batcher::new(s.model, Profile::default_batch(s.model), cfg.batch_window),
-                    )
-                })
-                .collect(),
-            deadline_at: BTreeMap::new(),
-            windows: models
-                .iter()
-                .map(|&m| (m, RateWindow::new(window)))
-                .collect(),
-            predictors: models.iter().map(|&m| (m, cfg.predictor.build())).collect(),
-            models,
-            last_decision: Decision::stay(d.initial_hw),
-            completed: Vec::new(),
-            arrived: BTreeMap::new(),
-            completed_count: BTreeMap::new(),
-            cost: CostMeter::new(),
-            nodes: Vec::new(),
-            cold_starts: 0,
-            transitions: 0,
-            hw_timeline: vec![(0.0, d.initial_hw)],
-            next_worker_local: 0,
-            next_batch_local: 0,
-        });
-    }
-    FleetSetup {
-        tenants,
-        arrivals,
-        trace_end,
-    }
+            let models = d.workloads.iter().map(|s| s.model).collect();
+            let label = Some(d.name.clone());
+            Tenant::new(&mut *d.scheduler, models, d.initial_hw, i, label, cfg)
+        })
+        .collect()
 }
 
-fn run_fleet_impl<'a>(
-    deployments: Vec<FleetDeployment>,
+/// Every tenant in one harness on the serial engine; returns the results
+/// and the events dispatched.
+pub(crate) fn run_serial<'a>(
+    deployments: &'a mut [FleetDeployment],
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &'a SimConfig,
     tracer: Tracer<'a>,
-) -> Vec<RunResult> {
-    assert!(units_per_kind >= 1, "inventory must be positive");
-    let setup = prepare_fleet(deployments, cfg);
-    let trace_end = setup.trace_end;
-    let mut q: EventQueue<FEv> = EventQueue::new();
-    for (dep, reqs) in setup.arrivals.into_iter().enumerate() {
-        for req in reqs {
-            q.schedule(req.arrival, FEv::Arrival(dep, req));
-        }
-    }
-
-    let horizon = trace_end + cfg.drain_grace;
-    let mut harness = FleetHarness {
-        cfg,
-        catalog,
-        inventory: units_per_kind,
-        tenants: setup.tenants,
-        workers: BTreeMap::new(),
-        next_worker_id: 0,
-        next_batch_id: 0,
-        trace_end,
-        faults: cfg.faults.compile(horizon),
-        failover: cfg.failover.build(),
-        unavailable: Vec::new(),
-        crash_restore: BTreeMap::new(),
-        active_degrades: Vec::new(),
-        active_straggles: Vec::new(),
-        tracer,
-        dep_base: 0,
-        namespaced: true,
-    };
-    if harness.tracer.enabled() {
-        for t in &mut harness.tenants {
-            t.scheduler.set_decision_recording(true);
-        }
-    }
-
-    for dep in 0..harness.tenants.len() {
-        // Initial placement respects the inventory too: if the requested
-        // kind is already fully leased by earlier tenants, fall back to the
-        // cheapest kind with a free unit (oversubscribe the requested kind
-        // only when literally nothing is free).
-        let requested = harness.tenants[dep].hw_timeline[0].1;
-        let initial = if harness.leased_units(requested) < harness.inventory {
-            requested
-        } else {
-            harness
-                .catalog
-                .by_cost_ascending()
-                .into_iter()
-                .find(|&k| harness.leased_units(k) < harness.inventory)
-                .unwrap_or(requested)
-        };
-        harness.tenants[dep].hw_timeline[0].1 = initial;
-        let id = harness.provision_worker(dep, initial, SimTime::ZERO, SimDuration::ZERO, &mut q);
-        harness.tenants[dep].routing = id;
-        q.schedule(SimTime::ZERO + cfg.monitor_interval, FEv::MonitorTick(dep));
-        q.schedule(
-            SimTime::ZERO + cfg.predictive_interval,
-            FEv::PredictTick(dep),
-        );
-    }
-    q.schedule(SimTime::from_secs(60), FEv::KeepAliveTick);
-    for (i, fe) in harness.faults.events.iter().enumerate() {
-        q.schedule(fe.at, FEv::Fault(i));
-    }
-
-    let outcome = run_until(&mut harness, &mut q, horizon);
-    let engine_events = outcome.events();
-    harness.tracer.set_scope(0);
-    harness.tracer.emit(horizon, || TraceEventKind::RunSummary {
-        events: engine_events,
-        horizon,
-    });
-
-    let worker_ids: Vec<WorkerId> = harness.workers.keys().copied().collect();
-    for id in worker_ids {
-        harness.release_worker(id, horizon);
-    }
-
-    harness
-        .tenants
-        .into_iter()
-        .map(|t| tenant_result(t, trace_end))
-        .collect()
-}
-
-/// Fold one tenant's terminal state into its [`RunResult`].
-pub(crate) fn tenant_result(mut t: Tenant, trace_end: SimTime) -> RunResult {
-    let total_arrived: u64 = t.arrived.values().sum();
-    let total_completed: u64 = t.completed_count.values().sum();
-    let mut arrived: Vec<(MlModel, u64)> = t.arrived.iter().map(|(&m, &n)| (m, n)).collect();
-    arrived.sort_by_key(|&(m, _)| m.index());
-    RunResult {
-        scheme: format!("{} [{}]", t.scheduler.name(), t.label),
-        completed: std::mem::take(&mut t.completed),
-        unserved: total_arrived.saturating_sub(total_completed),
-        arrived_per_model: arrived,
-        cost: t.cost.clone(),
-        nodes: std::mem::take(&mut t.nodes),
-        cold_starts: t.cold_starts,
-        transitions: t.transitions,
-        hw_timeline: std::mem::take(&mut t.hw_timeline),
-        trace_duration: trace_end - SimTime::ZERO,
-    }
+) -> (Vec<RunResult>, u64) {
+    let workloads = deployments.iter().map(|d| d.workloads.as_slice());
+    let (arrivals, trace_end) = sample_tenants(workloads, cfg.seed);
+    let tenants = fleet_tenants(deployments, cfg, tracer.enabled());
+    let harness = Harness::new(cfg, catalog, units_per_kind, tenants, trace_end, tracer);
+    run_harness(harness, arrivals, false)
 }

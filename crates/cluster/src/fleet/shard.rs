@@ -2,21 +2,24 @@
 //! event loops and synchronize only at cross-partition events.
 //!
 //! Between fault edges, an **elastic** fleet (`units_per_kind ==
-//! u32::MAX`) has no cross-tenant coupling at all: `available_for` never
-//! filters on leased units, worker state is tenant-owned, and the only
-//! shared mutable state — the `unavailable` kind list — changes exclusively
-//! at compiled fault-edge instants. That makes the fault edges a complete
-//! set of synchronization points, so the run decomposes into *epochs*:
+//! u32::MAX`) has no cross-tenant coupling at all: the policy's catalog
+//! never filters on leased units, worker state is tenant-owned, and the
+//! only shared mutable state — the `unavailable` kind list — changes
+//! exclusively at compiled fault-edge instants. That makes the fault edges
+//! a complete set of synchronization points, so the run decomposes into
+//! *epochs*:
 //!
 //! 1. chunk the deployments contiguously into `shards` groups, each its
-//!    own `FleetHarness` + [`PartitionCalendar`] + arrival [`Rail`];
+//!    own harness + [`paldia_sim::PartitionCalendar`] + arrival
+//!    [`paldia_sim::Rail`];
 //! 2. run every shard up to the next edge's [`EventKey`] bound (exclusive
 //!    at `(edge.at, 0)`, i.e. *before* anything else at that instant) on
 //!    the `paldia_core::pool` worker pool;
-//! 3. apply the edge centrally: node crashes walk the tenants in global
-//!    deployment order with the canonical `unavailable` list threaded
-//!    through each shard (bit-reproducing the serial engine's progressive
-//!    updates), degradation/straggler/storm windows fan out per shard;
+//! 3. apply the edge through each shard's own fault handler, in shard
+//!    order: node crashes thread the canonical crash bookkeeping from
+//!    shard to shard (so every failover sees exactly the kinds the earlier
+//!    tenants took down) and then broadcast it; degradation, straggler and
+//!    storm windows fan out unchanged;
 //! 4. repeat until the horizon, then fold per-tenant results back in
 //!    global deployment order.
 //!
@@ -26,41 +29,28 @@
 //! enforced by `tests/fleet_sharded.rs` and the shard-invariance
 //! proptests — and `PALDIA_JOBS`/`--jobs` only changes wall-clock.
 //!
-//! Two id namespaces keep shard-local allocation globally stable: worker
-//! ids become `(global dep << 20) | ordinal` and batch ids `(global dep
-//! << 48) | ordinal` (see `FleetHarness::namespaced`), so a tenant's ids
-//! are identical no matter which shard it lands in. Request ids are
-//! assigned by `prepare_fleet` before sharding (RNG forks are impure, so
-//! arrival generation stays serial).
+//! Worker and batch ids live in per-tenant namespaces (see
+//! [`crate::harness`]), so a tenant's ids are identical no matter which
+//! shard it lands in. Request ids are assigned by the one arrival sampler
+//! before sharding (RNG forks are impure, so arrival generation stays
+//! serial).
 //!
 //! Non-elastic fleets (finite inventory) couple tenants at *every*
 //! lease/release, so [`run_fleet_sharded`] falls back to the serial engine
 //! for them; likewise for single-tenant fleets, where there is nothing to
 //! partition.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use paldia_hw::{Catalog, InstanceKind};
+use paldia_hw::Catalog;
 use paldia_obs::{merge_streams, TraceEventKind, TraceSink, Tracer, VecSink};
-use paldia_sim::{
-    pool, run_partition, Calendar, EventKey, EventQueue, PartitionCalendar, Rail, SimDuration,
-    SimTime,
-};
+use paldia_sim::{pool, EventKey};
 
-use super::{prepare_fleet, tenant_result, FEv, FleetDeployment, FleetHarness};
+use super::{fleet_tenants, run_serial, FleetDeployment};
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::request::Request;
+use crate::harness::{arrival_events, sample_tenants, trace_fault_edge, Harness, Partition};
 use crate::result::RunResult;
-use crate::worker::WorkerId;
-
-/// One partition: a contiguous tenant chunk with its own engine state.
-struct Shard<'a> {
-    harness: FleetHarness<'a>,
-    cal: PartitionCalendar<FEv>,
-    rail: Rail<FEv>,
-}
 
 /// [`super::run_fleet`] with an explicit shard count.
 ///
@@ -83,26 +73,28 @@ pub fn run_fleet_sharded(
 }
 
 /// [`run_fleet_sharded`] plus the number of engine events dispatched
-/// across all shards — the throughput denominator for stress reporting.
-/// On the serial fallback the engine does not count events, so the second
-/// component is 0 there.
+/// across all shards (or by the serial fallback) — the throughput
+/// denominator for stress reporting.
 pub fn run_fleet_sharded_stats(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
     shards: u32,
 ) -> (Vec<RunResult>, u64) {
     if units_per_kind != u32::MAX || deployments.len() <= 1 {
-        return (
-            super::run_fleet(deployments, catalog, units_per_kind, cfg),
-            0,
+        return run_serial(
+            &mut deployments,
+            catalog,
+            units_per_kind,
+            cfg,
+            Tracer::disabled(),
         );
     }
     let k = chunk_count(deployments.len(), shards);
     let mut tracers = Vec::new();
     tracers.resize_with(k, Tracer::disabled);
-    drive(deployments, catalog, cfg, tracers, Tracer::disabled())
+    drive(&mut deployments, catalog, cfg, tracers, Tracer::disabled())
 }
 
 /// [`super::run_fleet_traced`] with an explicit shard count. Each shard
@@ -111,7 +103,7 @@ pub fn run_fleet_sharded_stats(
 /// invariant across shard counts apart from the `RunSummary` dispatched-
 /// event count (each shard runs its own keep-alive chain).
 pub fn run_fleet_traced_sharded(
-    deployments: Vec<FleetDeployment>,
+    mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
     units_per_kind: u32,
     cfg: &SimConfig,
@@ -128,7 +120,7 @@ pub fn run_fleet_traced_sharded(
     let (results, _events) = {
         let tracers: Vec<Tracer<'_>> = shard_sinks.iter_mut().map(|s| Tracer::new(s)).collect();
         let coord = Tracer::new(&mut coord_sink);
-        drive(deployments, catalog, cfg, tracers, coord)
+        drive(&mut deployments, catalog, cfg, tracers, coord)
     };
     let mut streams = vec![coord_sink.into_events()];
     streams.extend(shard_sinks.into_iter().map(VecSink::into_events));
@@ -141,77 +133,47 @@ fn chunk_count(tenants: usize, shards: u32) -> usize {
     (shards.max(1) as usize).min(tenants).max(1)
 }
 
-/// Contiguous chunk boundaries: `n` tenants into `k` chunks, sizes
-/// differing by at most one, earlier chunks larger.
-fn chunk_bounds(n: usize, k: usize) -> Vec<(usize, usize)> {
+/// Contiguous chunk sizes: `n` tenants into `k` chunks, sizes differing by
+/// at most one, earlier chunks larger.
+fn chunk_sizes(n: usize, k: usize) -> impl Iterator<Item = usize> {
     let (base, rem) = (n / k, n % k);
-    let mut bounds = Vec::with_capacity(k);
-    let mut lo = 0;
-    for i in 0..k {
-        let size = base + usize::from(i < rem);
-        bounds.push((lo, lo + size));
-        lo += size;
-    }
-    bounds
+    (0..k).map(move |i| base + usize::from(i < rem))
 }
 
 /// The coordinator: build shards, run epochs between fault edges, apply
-/// edges centrally, and assemble results in global deployment order.
+/// edges at the barriers, and assemble results in global deployment order.
 fn drive<'a>(
-    deployments: Vec<FleetDeployment>,
+    deployments: &'a mut [FleetDeployment],
     catalog: Catalog,
     cfg: &'a SimConfig,
     tracers: Vec<Tracer<'a>>,
     mut coord: Tracer<'a>,
 ) -> (Vec<RunResult>, u64) {
-    let mut setup = prepare_fleet(deployments, cfg);
-    let trace_end = setup.trace_end;
+    let workloads = deployments.iter().map(|d| d.workloads.as_slice());
+    let (arrivals, trace_end) = sample_tenants(workloads, cfg.seed);
     let horizon = trace_end + cfg.drain_grace;
+    let n = deployments.len();
+    let mut tenants = fleet_tenants(deployments, cfg, coord.enabled()).into_iter();
+    let mut arrivals = arrivals.into_iter();
+    let shards: Vec<Mutex<Partition<'a>>> = chunk_sizes(n, tracers.len())
+        .zip(tracers)
+        .map(|(size, tracer)| {
+            let chunk = tenants.by_ref().take(size).collect();
+            let rail = arrival_events(arrivals.by_ref().take(size));
+            let harness = Harness::new(cfg, catalog.clone(), u32::MAX, chunk, trace_end, tracer);
+            // Fault edges are not seeded: the coordinator owns them.
+            Mutex::new(Partition::new(harness, rail, false))
+        })
+        .collect();
     let faults = cfg.faults.compile(horizon);
-    let n = setup.tenants.len();
-    let k = tracers.len();
-
-    let mut shards: Vec<Mutex<Shard<'a>>> = Vec::with_capacity(k);
-    let mut arrivals = setup.arrivals.into_iter();
-    for ((lo, hi), tracer) in chunk_bounds(n, k).into_iter().zip(tracers) {
-        let tenants: Vec<_> = setup.tenants.drain(..hi - lo).collect();
-        let chunk_arrivals: Vec<Vec<Request>> = arrivals.by_ref().take(hi - lo).collect();
-        shards.push(Mutex::new(build_shard(
-            lo,
-            tenants,
-            chunk_arrivals,
-            catalog.clone(),
-            cfg,
-            trace_end,
-            horizon,
-            tracer,
-        )));
-    }
 
     // Epoch loop: run to each edge instant, then apply the edges there.
     let run_all_to = |bound: EventKey| -> u64 {
-        let shards = &shards;
-        let per_shard = pool::run_indexed(k, |i| {
-            let mut s = lock(&shards[i]);
-            let s = &mut *s;
-            run_partition(
-                &mut s.harness,
-                &mut s.cal,
-                &mut s.rail,
-                bound,
-                paldia_sim::engine::DEFAULT_EVENT_BUDGET,
-            )
-            .events()
-        });
-        per_shard.iter().sum()
+        pool::run_indexed(shards.len(), |i| lock(&shards[i]).run_to(bound))
+            .iter()
+            .sum()
     };
-
     let mut engine_events: u64 = 0;
-    // Canonical crash bookkeeping lives here; shards only see snapshots.
-    let mut unavailable: Vec<InstanceKind> = Vec::new();
-    let mut crash_restore: BTreeMap<usize, Vec<InstanceKind>> = BTreeMap::new();
-    let bounds = chunk_bounds(n, k);
-
     let mut cursor = 0;
     while cursor < faults.events.len() {
         let at = faults.events[cursor].at;
@@ -220,88 +182,31 @@ fn drive<'a>(
         }
         engine_events += run_all_to(EventKey::new(at, 0));
         while cursor < faults.events.len() && faults.events[cursor].at == at {
-            let fe = faults.events[cursor];
+            let idx = cursor;
             cursor += 1;
-            let fault = faults.windows[fe.window].fault;
-            let win = fe.window as u32;
-            let started = fe.edge == FaultEdge::Start;
-            coord.set_scope(0);
-            coord.emit(at, || TraceEventKind::FaultEdge {
-                window: win,
-                desc: format!("{fault:?}"),
-                started,
-            });
-            match (fault, fe.edge) {
-                (FaultKind::NodeCrash, FaultEdge::Start) => {
-                    // Walk tenants in global order, threading the canonical
-                    // `unavailable` list through each shard so every
-                    // failover sees exactly what the serial engine would.
-                    let mut failed = Vec::new();
-                    for (si, &(lo, hi)) in bounds.iter().enumerate() {
-                        let mut s = lock(&shards[si]);
-                        for dep in 0..hi - lo {
-                            s.harness.unavailable = unavailable.clone();
-                            let s = &mut *s;
-                            if let Some(kind) = s.harness.fail_tenant(dep, at, &mut s.cal) {
-                                if !failed.contains(&kind) {
-                                    failed.push(kind);
-                                }
-                            }
-                            unavailable = s.harness.unavailable.clone();
-                        }
-                    }
-                    crash_restore.insert(fe.window, failed);
-                    broadcast_unavailable(&shards, &unavailable);
+            let fe = faults.events[idx];
+            trace_fault_edge(&mut coord, &faults, idx, at);
+            let crash = matches!(faults.windows[fe.window].fault, FaultKind::NodeCrash)
+                && fe.edge == FaultEdge::Start;
+            if crash {
+                // Thread the crash bookkeeping through the shards in
+                // tenant order, then hand every shard the final state.
+                let (mut unavailable, mut failed) = lock(&shards[0]).harness.crash_state(fe.window);
+                for shard in &shards {
+                    let mut s = lock(shard);
+                    s.harness.set_crash_state(fe.window, unavailable, failed);
+                    s.apply_fault_edge(idx, at);
+                    (unavailable, failed) = s.harness.crash_state(fe.window);
                 }
-                (FaultKind::NodeCrash, FaultEdge::End) => {
-                    for kind in crash_restore.remove(&fe.window).unwrap_or_default() {
-                        if let Some(pos) = unavailable.iter().position(|&u| u == kind) {
-                            unavailable.remove(pos);
-                        }
-                    }
-                    broadcast_unavailable(&shards, &unavailable);
+                for shard in &shards {
+                    let mut s = lock(shard);
+                    s.harness
+                        .set_crash_state(fe.window, unavailable.clone(), failed.clone());
                 }
-                (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_degrades.push((fe.window, severity));
-                        let s = &mut *s;
-                        s.harness.apply_degradation(at, &mut s.cal);
-                    }
+            } else {
+                for shard in &shards {
+                    lock(shard).apply_fault_edge(idx, at);
                 }
-                (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_degrades.retain(|&(i, _)| i != fe.window);
-                        let s = &mut *s;
-                        s.harness.apply_degradation(at, &mut s.cal);
-                    }
-                }
-                (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_straggles.push((fe.window, multiplier));
-                        s.harness.apply_straggle();
-                    }
-                }
-                (FaultKind::Straggler { .. }, FaultEdge::End) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        s.harness.active_straggles.retain(|&(i, _)| i != fe.window);
-                        s.harness.apply_straggle();
-                    }
-                }
-                (FaultKind::ColdStartStorm, FaultEdge::Start) => {
-                    for shard in &shards {
-                        let mut s = lock(shard);
-                        for id in s.harness.worker_ids_sorted() {
-                            if let Some((_, w)) = s.harness.workers.get_mut(&id) {
-                                w.purge_warm_containers();
-                            }
-                        }
-                    }
-                }
-                (FaultKind::ColdStartStorm, FaultEdge::End) => {}
             }
         }
     }
@@ -315,111 +220,16 @@ fn drive<'a>(
 
     let mut results = Vec::with_capacity(n);
     for shard in shards {
-        let mut s = lock(&shard);
-        let ids: Vec<WorkerId> = s.harness.workers.keys().copied().collect();
-        for id in ids {
-            s.harness.release_worker(id, horizon);
-        }
-        for t in std::mem::take(&mut s.harness.tenants) {
-            results.push(tenant_result(t, trace_end));
-        }
+        let part = shard
+            .into_inner()
+            .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)");
+        results.extend(part.harness.into_results(horizon));
     }
     (results, engine_events)
 }
 
-fn lock<'m, 'a>(shard: &'m Mutex<Shard<'a>>) -> std::sync::MutexGuard<'m, Shard<'a>> {
+fn lock<'m, 'a>(shard: &'m Mutex<Partition<'a>>) -> std::sync::MutexGuard<'m, Partition<'a>> {
     shard
         .lock()
         .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)")
-}
-
-fn broadcast_unavailable(shards: &[Mutex<Shard<'_>>], unavailable: &[InstanceKind]) {
-    for shard in shards {
-        lock(shard).harness.unavailable = unavailable.to_vec();
-    }
-}
-
-/// Assemble one shard: harness over the chunk's tenants (local indices),
-/// arrival rail, and a calendar seeded exactly like the serial engine —
-/// initial workers, per-tenant monitor/predict ticks, keep-alive chain.
-/// Fault edges are *not* seeded; the coordinator owns them.
-#[allow(clippy::too_many_arguments)]
-fn build_shard<'a>(
-    dep_base: usize,
-    tenants: Vec<super::Tenant>,
-    arrivals: Vec<Vec<Request>>,
-    catalog: Catalog,
-    cfg: &'a SimConfig,
-    trace_end: SimTime,
-    horizon: SimTime,
-    tracer: Tracer<'a>,
-) -> Shard<'a> {
-    let mut rail_items: Vec<(SimTime, FEv)> = Vec::new();
-    for (local, reqs) in arrivals.into_iter().enumerate() {
-        rail_items.extend(
-            reqs.into_iter()
-                .map(|req| (req.arrival, FEv::Arrival(local, req))),
-        );
-    }
-    let mut q: EventQueue<FEv> = EventQueue::new();
-    // Rail entries own the run's smallest seqs so their proxy key
-    // `(t, 0)` sorts them before any same-instant heap event.
-    q.skip_seqs(rail_items.len() as u64);
-
-    let mut harness = FleetHarness {
-        cfg,
-        catalog,
-        inventory: u32::MAX,
-        tenants,
-        workers: BTreeMap::new(),
-        next_worker_id: 0,
-        next_batch_id: 0,
-        trace_end,
-        faults: cfg.faults.compile(horizon),
-        failover: cfg.failover.build(),
-        unavailable: Vec::new(),
-        crash_restore: BTreeMap::new(),
-        active_degrades: Vec::new(),
-        active_straggles: Vec::new(),
-        tracer,
-        dep_base,
-        namespaced: true,
-    };
-    if harness.tracer.enabled() {
-        for t in &mut harness.tenants {
-            t.scheduler.set_decision_recording(true);
-        }
-    }
-
-    let mut cal = PartitionCalendar::new(q);
-    for dep in 0..harness.tenants.len() {
-        // Elastic inventory: the requested kind always has a free unit,
-        // but keep the serial fallback shape for robustness.
-        let requested = harness.tenants[dep].hw_timeline[0].1;
-        let initial = if harness.leased_units(requested) < harness.inventory {
-            requested
-        } else {
-            harness
-                .catalog
-                .by_cost_ascending()
-                .into_iter()
-                .find(|&kind| harness.leased_units(kind) < harness.inventory)
-                .unwrap_or(requested)
-        };
-        harness.tenants[dep].hw_timeline[0].1 = initial;
-        let id = harness.provision_worker(dep, initial, SimTime::ZERO, SimDuration::ZERO, &mut cal);
-        harness.tenants[dep].routing = id;
-        cal.schedule(SimTime::ZERO + cfg.monitor_interval, FEv::MonitorTick(dep));
-        cal.schedule(
-            SimTime::ZERO + cfg.predictive_interval,
-            FEv::PredictTick(dep),
-        );
-    }
-    cal.schedule(SimTime::from_secs(60), FEv::KeepAliveTick);
-
-    Shard {
-        harness,
-        cal,
-        rail: Rail::from_schedule_order(rail_items),
-    }
 }

@@ -19,6 +19,24 @@
 //!   crashes evict and requeue work on the [`crate::faults::FailoverPolicy`]
 //!   replacement (Fig. 13b), MPS degradation slows the device, stragglers
 //!   stretch cold starts, and storms purge warm containers.
+//!
+//! # One harness for every run
+//!
+//! The `Harness` is tenant-indexed: it serves a vector of `Tenant`s,
+//! each with its own gateway, predictors, scheduler and accounting, over
+//! node leases drawn from a shared per-kind inventory. A single-tenant run
+//! (and the incremental [`crate::session::SimSession`]) is a fleet of one
+//! over elastic inventory (`u32::MAX` units per kind); [`crate::fleet`]
+//! runs many tenants, serially or partitioned across shards. What differs
+//! between the entry points is data, never behaviour:
+//!
+//! * the trace scope — 0 for single-tenant runs, `1 + global tenant index`
+//!   for fleet tenants;
+//! * the result label — the scheme name, or `"{scheme} [{tenant}]"`;
+//! * the id namespaces — worker ids are `(tenant << 20) | ordinal` and
+//!   batch ids `(tenant << 48) | ordinal`, so tenant 0's ids are plain
+//!   ordinals and every tenant's ids are independent of how tenants are
+//!   grouped into shards.
 
 use crate::batcher::Batcher;
 use crate::config::SimConfig;
@@ -39,6 +57,7 @@ use paldia_traces::{generate_arrivals, Predictor, RateTrace, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
 use paldia_workloads::{MlModel, Profile};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// One workload: a model plus its (already scaled) arrival-rate trace.
 #[derive(Clone, Debug)]
@@ -56,10 +75,12 @@ impl WorkloadSpec {
     }
 }
 
-/// Events of the cluster simulation.
+/// Events of the cluster simulation, tagged with the owning tenant (index
+/// into the harness's tenant vector) where the worker id does not already
+/// name it.
 pub(crate) enum Ev {
-    Arrival(Request),
-    BatchDeadline(MlModel),
+    Arrival(usize, Request),
+    BatchDeadline(usize, MlModel),
     DeviceWake {
         worker: WorkerId,
         version: u64,
@@ -68,9 +89,9 @@ pub(crate) enum Ev {
         worker: WorkerId,
         container: ContainerId,
     },
-    WorkerReady(WorkerId),
-    MonitorTick,
-    PredictTick,
+    WorkerReady(usize, WorkerId),
+    MonitorTick(usize),
+    PredictTick(usize),
     KeepAliveTick,
     /// A compiled fault edge; index into [`CompiledFaults::events`].
     Fault(usize),
@@ -92,26 +113,38 @@ impl WakeEvent for Ev {
     }
 }
 
-pub(crate) struct Harness<'a> {
-    cfg: &'a SimConfig,
-    scheduler: &'a mut dyn Scheduler,
-    catalog: Catalog,
-    unavailable: Vec<InstanceKind>,
+/// Worker ordinals per tenant namespace: ids are `(tenant << 20) | n`.
+const WORKER_NS_BITS: u32 = 20;
 
-    workers: BTreeMap<WorkerId, Worker>,
+/// The worker ids a tenant's namespace spans.
+fn worker_range(gdep: u32) -> RangeInclusive<WorkerId> {
+    let base = gdep << WORKER_NS_BITS;
+    WorkerId(base)..=WorkerId(base | ((1 << WORKER_NS_BITS) - 1))
+}
+
+/// One deployment's live state: its gateway (batchers, rate windows,
+/// predictors), its policy, the node it routes to, and its accounting.
+pub(crate) struct Tenant<'a> {
+    scheduler: &'a mut dyn Scheduler,
+    /// Fleet tenant name; results read `"{scheme} [{label}]"`. `None` for
+    /// single-tenant runs, whose results carry the bare scheme name.
+    label: Option<String>,
+    /// Trace scope stamped on this tenant's events.
+    scope: u32,
+    /// Global tenant index: the worker/batch id namespace.
+    gdep: u32,
+    /// Node requested to start warm on (leased from the inventory).
+    initial_hw: InstanceKind,
     routing: WorkerId,
     pending_worker: Option<WorkerId>,
-    next_worker_id: u32,
-
+    next_worker: u32,
+    next_batch: u64,
     batchers: BTreeMap<MlModel, Batcher>,
     deadline_at: BTreeMap<MlModel, Option<SimTime>>,
     windows: BTreeMap<MlModel, RateWindow>,
     predictors: BTreeMap<MlModel, Box<dyn Predictor>>,
     models: Vec<MlModel>,
-
     last_decision: Decision,
-    next_batch_id: u64,
-
     completed: Vec<CompletedRequest>,
     arrived: BTreeMap<MlModel, u64>,
     completed_count: BTreeMap<MlModel, u64>,
@@ -120,24 +153,135 @@ pub(crate) struct Harness<'a> {
     cold_starts: u64,
     transitions: u64,
     hw_timeline: Vec<(f64, InstanceKind)>,
+}
+
+impl<'a> Tenant<'a> {
+    /// A tenant serving `models`, global index `gdep`. Labelled (fleet)
+    /// tenants trace at scope `1 + gdep`; unlabelled ones at scope 0.
+    pub(crate) fn new(
+        scheduler: &'a mut dyn Scheduler,
+        models: Vec<MlModel>,
+        initial_hw: InstanceKind,
+        gdep: usize,
+        label: Option<String>,
+        cfg: &SimConfig,
+    ) -> Self {
+        assert!(
+            gdep < 1 << (32 - WORKER_NS_BITS),
+            "at most 4096 tenants fit the worker id namespace"
+        );
+        let gdep = gdep as u32;
+        let window = cfg.provision_delay.max(SimDuration::from_secs(2));
+        Tenant {
+            scheduler,
+            scope: if label.is_some() { gdep + 1 } else { 0 },
+            label,
+            gdep,
+            initial_hw,
+            routing: WorkerId(0),
+            pending_worker: None,
+            next_worker: 0,
+            next_batch: 0,
+            batchers: models
+                .iter()
+                .map(|&m| {
+                    (
+                        m,
+                        Batcher::new(m, Profile::default_batch(m), cfg.batch_window),
+                    )
+                })
+                .collect(),
+            deadline_at: BTreeMap::new(),
+            windows: models
+                .iter()
+                .map(|&m| (m, RateWindow::new(window)))
+                .collect(),
+            predictors: models.iter().map(|&m| (m, cfg.predictor.build())).collect(),
+            models,
+            last_decision: Decision::stay(initial_hw),
+            completed: Vec::new(),
+            arrived: BTreeMap::new(),
+            completed_count: BTreeMap::new(),
+            cost: CostMeter::new(),
+            nodes: Vec::new(),
+            cold_starts: 0,
+            transitions: 0,
+            hw_timeline: Vec::new(),
+        }
+    }
+
+    /// Run `f` on `model`'s batcher with this tenant's batch-id allocator.
+    fn with_batcher<R>(
+        &mut self,
+        model: MlModel,
+        f: impl FnOnce(&mut Batcher, &mut dyn FnMut() -> BatchId) -> R,
+    ) -> R {
+        let base = u64::from(self.gdep) << 48;
+        let mut next = self.next_batch;
+        let b = self
+            .batchers
+            .get_mut(&model)
+            .expect("invariant: batchers are registered for every model at construction");
+        let out = f(b, &mut || {
+            next += 1;
+            BatchId(base | next)
+        });
+        self.next_batch = next;
+        out
+    }
+
+    /// Fold the tenant's terminal state into its [`RunResult`].
+    fn into_result(mut self, trace_end: SimTime) -> RunResult {
+        let total_arrived: u64 = self.arrived.values().sum();
+        let total_completed: u64 = self.completed_count.values().sum();
+        let mut arrived: Vec<(MlModel, u64)> = self.arrived.iter().map(|(&m, &n)| (m, n)).collect();
+        arrived.sort_by_key(|&(m, _)| m.index());
+        let name = self.scheduler.name();
+        RunResult {
+            scheme: match &self.label {
+                Some(label) => format!("{name} [{label}]"),
+                None => name.to_string(),
+            },
+            completed: std::mem::take(&mut self.completed),
+            unserved: total_arrived.saturating_sub(total_completed),
+            arrived_per_model: arrived,
+            cost: self.cost.clone(),
+            nodes: std::mem::take(&mut self.nodes),
+            cold_starts: self.cold_starts,
+            transitions: self.transitions,
+            hw_timeline: std::mem::take(&mut self.hw_timeline),
+            trace_duration: trace_end - SimTime::ZERO,
+        }
+    }
+}
+
+pub(crate) struct Harness<'a> {
+    cfg: &'a SimConfig,
+    catalog: Catalog,
+    /// Units available per kind (`u32::MAX` = elastic; the paper's cluster
+    /// owns 1 of each).
+    inventory: u32,
+    tenants: Vec<Tenant<'a>>,
+    /// All live workers, with their owning tenant's index.
+    workers: BTreeMap<WorkerId, (u32, Worker)>,
     trace_end: SimTime,
 
     /// Compiled fault schedule for this run.
     faults: CompiledFaults,
-    /// Failover rule applied on node crashes.
+    /// Failover rule applied on node crashes (shared by all tenants).
     failover: Box<dyn FailoverPolicy>,
-    /// Kind taken down by each open crash window, for its End to restore.
-    crash_restore: BTreeMap<usize, InstanceKind>,
+    /// Kinds taken out by open crash windows.
+    unavailable: Vec<InstanceKind>,
+    /// Kinds each open crash window took down, for its End to restore.
+    crash_restore: BTreeMap<usize, Vec<InstanceKind>>,
     /// Open degradation windows: (window index, severity).
     active_degrades: Vec<(usize, f64)>,
     /// Open straggler windows: (window index, multiplier).
     active_straggles: Vec<(usize, f64)>,
 
-    /// Observability hook; `Tracer::disabled()` for untraced runs.
+    /// Observability hook; `Tracer::disabled()` for untraced runs. Tenant
+    /// events carry their tenant's scope, run-global ones scope 0.
     tracer: Tracer<'a>,
-    /// True when this run executes on the partitioned engine; newly
-    /// provisioned workers get the allocation-free device fast path.
-    lean: bool,
 }
 
 /// Build the iteration-level sequence for a request on the given hardware.
@@ -167,25 +311,123 @@ fn make_seq(seed: u64, r: &Request, closed_at: SimTime, kind: InstanceKind) -> I
     }
 }
 
+/// Re-make a sequence for new hardware (full restart: the pure-hash token
+/// lengths come back identical, the KV footprint is re-reserved, prefill
+/// begins again).
+fn remake_seq(seed: u64, s: &IterSeq, kind: InstanceKind) -> IterSeq {
+    let r = Request {
+        id: s.request,
+        model: s.model,
+        arrival: s.arrival,
+    };
+    make_seq(seed, &r, s.closed_at, kind)
+}
+
+/// Trace a compiled fault edge (run-global: scope 0).
+pub(crate) fn trace_fault_edge(
+    tracer: &mut Tracer<'_>,
+    faults: &CompiledFaults,
+    idx: usize,
+    now: SimTime,
+) {
+    let fe = faults.events[idx];
+    let fault = faults.windows[fe.window].fault;
+    let win = fe.window as u32;
+    let started = fe.edge == FaultEdge::Start;
+    tracer.set_scope(0);
+    tracer.emit(now, || TraceEventKind::FaultEdge {
+        window: win,
+        desc: format!("{fault:?}"),
+        started,
+    });
+}
+
 impl<'a> Harness<'a> {
-    fn available_catalog(&self) -> Catalog {
-        let mut c = self.catalog.clone();
-        for &k in &self.unavailable {
-            c = c.without(k);
+    /// A harness over `tenants` drawing from `inventory` units per catalog
+    /// kind, with no events scheduled yet (see [`Harness::seed_calendar`]).
+    /// The fault schedule is compiled against the run horizon
+    /// `trace_end + cfg.drain_grace`.
+    pub(crate) fn new(
+        cfg: &'a SimConfig,
+        catalog: Catalog,
+        inventory: u32,
+        tenants: Vec<Tenant<'a>>,
+        trace_end: SimTime,
+        tracer: Tracer<'a>,
+    ) -> Self {
+        assert!(inventory >= 1, "inventory must be positive");
+        Harness {
+            cfg,
+            catalog,
+            inventory,
+            tenants,
+            workers: BTreeMap::new(),
+            trace_end,
+            faults: cfg.faults.compile(trace_end + cfg.drain_grace),
+            failover: cfg.failover.build(),
+            unavailable: Vec::new(),
+            crash_restore: BTreeMap::new(),
+            active_degrades: Vec::new(),
+            active_straggles: Vec::new(),
+            tracer,
         }
-        c
     }
 
-    /// Spawn a worker lease and schedule its readiness.
+    /// Point the tracer at a tenant's scope before emitting its events.
+    fn trace_scope(&mut self, dep: usize) {
+        self.tracer.set_scope(self.tenants[dep].scope);
+    }
+
+    fn has_free_unit(&self, kind: InstanceKind) -> bool {
+        self.inventory == u32::MAX
+            || (self
+                .workers
+                .values()
+                .filter(|(_, w)| w.kind == kind)
+                .count() as u32)
+                < self.inventory
+    }
+
+    /// True if a new node of `kind` can be leased now: offered, not taken
+    /// out by an open crash window, with a free unit.
+    fn can_lease(&self, kind: InstanceKind) -> bool {
+        self.catalog.contains(kind) && !self.unavailable.contains(&kind) && self.has_free_unit(kind)
+    }
+
+    /// The kinds a tenant's policy may choose from: every leasable kind,
+    /// plus kinds the tenant already holds (its own lease counts as a free
+    /// unit for itself).
+    fn available_for(&self, dep: usize) -> Catalog {
+        let range = worker_range(self.tenants[dep].gdep);
+        let kinds: Vec<InstanceKind> = self
+            .catalog
+            .kinds()
+            .iter()
+            .copied()
+            .filter(|&k| {
+                !self.unavailable.contains(&k)
+                    && (self.has_free_unit(k)
+                        || self
+                            .workers
+                            .range(range.clone())
+                            .any(|(_, (_, w))| w.kind == k))
+            })
+            .collect();
+        Catalog::of(&kinds)
+    }
+
+    /// Spawn a worker lease for a tenant and schedule its readiness.
     fn provision_worker<C: Calendar<Ev>>(
         &mut self,
+        dep: usize,
         kind: InstanceKind,
         now: SimTime,
         delay: SimDuration,
         q: &mut C,
     ) -> WorkerId {
-        let id = WorkerId(self.next_worker_id);
-        self.next_worker_id += 1;
+        let t = &mut self.tenants[dep];
+        let id = WorkerId((t.gdep << WORKER_NS_BITS) | t.next_worker);
+        t.next_worker += 1;
         // Co-located CPU-bound workloads steal host cycles. On CPU-only
         // nodes the contention hits inference directly; on GPU nodes only
         // the host-side staging/batching slows, so the effect is dampened —
@@ -216,15 +458,13 @@ impl<'a> Harness<'a> {
         if mult > 1.0 {
             w.set_cold_start_multiplier(mult);
         }
-        if self.lean {
-            w.device.set_lean(true);
-        }
         if self.cfg.device_mode == DeviceMode::IterativeBatch {
             w.set_iterative(host_contention);
         }
-        self.workers.insert(id, w);
-        q.schedule(now + delay, Ev::WorkerReady(id));
+        self.workers.insert(id, (dep as u32, w));
+        q.schedule(now + delay, Ev::WorkerReady(dep, id));
         let ready_at = now + delay;
+        self.trace_scope(dep);
         self.tracer.emit(now, || TraceEventKind::WorkerProvisioned {
             worker: id.0,
             hw: kind,
@@ -233,19 +473,22 @@ impl<'a> Harness<'a> {
         id
     }
 
-    /// Release a worker: record its node stats and cost.
+    /// Release a worker: record its node stats and cost on its tenant.
     fn release_worker(&mut self, id: WorkerId, now: SimTime) {
-        if let Some(mut w) = self.workers.remove(&id) {
+        if let Some((dep, mut w)) = self.workers.remove(&id) {
+            let dep = dep as usize;
             let kind = w.kind;
+            self.trace_scope(dep);
             self.tracer.emit(now, || TraceEventKind::WorkerReleased {
                 worker: id.0,
                 hw: kind,
             });
             w.device.advance(now);
             let lease_s = now.saturating_since(w.lease_start).as_secs_f64();
-            self.cost.add_usage_hours(w.kind, lease_s / 3_600.0);
-            self.cold_starts += w.pool.cold_starts();
-            self.nodes.push(NodeStat {
+            let t = &mut self.tenants[dep];
+            t.cost.add_usage_hours(w.kind, lease_s / 3_600.0);
+            t.cold_starts += w.pool.cold_starts();
+            t.nodes.push(NodeStat {
                 kind: w.kind,
                 lease_start_s: w.lease_start.as_secs_f64(),
                 lease_s,
@@ -254,21 +497,33 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Admit ready batches on a worker, run the reactive autoscaler, and
-    /// (re)schedule the device wake-up. Iteration-level workers take the
-    /// boundary-driven path instead ([`Harness::sync_iter_worker`]).
+    /// Admit ready work on a worker, run the reactive autoscaler, and
+    /// schedule the worker's next event: a device wake-up for request-level
+    /// batches, or — on an iteration-level worker with residents and no
+    /// iteration in flight — the next iteration's boundary tick. Joins and
+    /// leaves of iteration-level sequences only ever happen here and in the
+    /// [`Ev::IterTick`] handler, never mid-iteration.
     fn sync_worker<C: Calendar<Ev>>(&mut self, id: WorkerId, now: SimTime, q: &mut C) {
-        if self.workers.get(&id).is_some_and(|w| w.is_iterative()) {
-            self.sync_iter_worker(id, now, q);
-            return;
-        }
-        let Some(w) = self.workers.get_mut(&id) else {
+        let Some((dep, w)) = self.workers.get_mut(&id) else {
             return;
         };
-        let (_admitted, container_short) = w.admit_ready(now, &mut self.tracer);
+        let t = &self.tenants[*dep as usize];
+        self.tracer.set_scope(t.scope);
+        let iterative = w.is_iterative();
+        let container_short = if iterative {
+            w.iter_try_joins(now, &mut self.tracer)
+        } else {
+            w.admit_ready(now, &mut self.tracer).1
+        };
         if container_short && w.is_active() {
-            // Reactive scale-up: one container per queued-but-unhosted batch.
-            let queued: u32 = self.models.iter().map(|&m| w.queued(m) as u32).sum();
+            // Reactive scale-up: one container per queued-but-unhosted
+            // batch, or per waiting sequence (each resident sequence holds
+            // one container).
+            let queued: u32 = if iterative {
+                w.iter_waiting()
+            } else {
+                t.models.iter().map(|&m| w.queued(m) as u32).sum()
+            };
             let free = w.pool.warm_free();
             let provisioned = w.pool.len() as u32;
             let busy = w.pool.busy();
@@ -290,7 +545,17 @@ impl<'a> Harness<'a> {
                 );
             }
         }
-        if let Some(t) = w.device.next_completion() {
+        if iterative {
+            if let Some((dur, version)) = w.iter_begin(now, &mut self.tracer) {
+                q.schedule(
+                    now + dur,
+                    Ev::IterTick {
+                        worker: id,
+                        version,
+                    },
+                );
+            }
+        } else if let Some(t) = w.device.next_completion() {
             let version = w.device.version();
             // Guarantee forward progress even under µs rounding.
             let at = if t <= now {
@@ -301,75 +566,17 @@ impl<'a> Harness<'a> {
             q.arm_wake(id.0, at, version);
         }
         // Draining worker finished? Release it.
-        let done = {
-            let w = &self.workers[&id];
-            w.state == WorkerState::Draining && w.is_idle()
-        };
-        if done {
+        if w.state == WorkerState::Draining && w.is_idle() {
             self.release_worker(id, now);
         }
     }
 
-    /// Iteration-level counterpart of [`Harness::sync_worker`]: admit
-    /// waiting sequences at the current boundary, run the reactive
-    /// autoscaler on container shortage, and — if sequences are resident
-    /// and no iteration is in flight — begin the next iteration and
-    /// schedule its boundary tick. Joins and leaves only ever happen here
-    /// and in the [`Ev::IterTick`] handler, never mid-iteration.
-    fn sync_iter_worker<C: Calendar<Ev>>(&mut self, id: WorkerId, now: SimTime, q: &mut C) {
-        let Some(w) = self.workers.get_mut(&id) else {
-            return;
-        };
-        let container_short = w.iter_try_joins(now, &mut self.tracer);
-        if container_short && w.is_active() {
-            // Reactive scale-up: one container per waiting-but-unhosted
-            // sequence (each resident sequence holds one container).
-            let waiting = w.iter_waiting();
-            let free = w.pool.warm_free();
-            let provisioned = w.pool.len() as u32;
-            let busy = w.pool.busy();
-            let booting = provisioned.saturating_sub(free + busy);
-            let deficit = waiting.saturating_sub(free + booting);
-            for _ in 0..deficit {
-                let (cid, ready) = w.pool.spawn(now);
-                self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
-                    worker: id.0,
-                    container: cid.0,
-                    ready_at: ready,
-                });
-                q.schedule(
-                    ready,
-                    Ev::ContainerReady {
-                        worker: id,
-                        container: cid,
-                    },
-                );
-            }
-        }
-        if let Some((dur, version)) = w.iter_begin(now, &mut self.tracer) {
-            q.schedule(
-                now + dur,
-                Ev::IterTick {
-                    worker: id,
-                    version,
-                },
-            );
-        }
-        // Draining worker finished? Release it.
-        let done = {
-            let w = &self.workers[&id];
-            w.state == WorkerState::Draining && w.is_idle()
-        };
-        if done {
-            self.release_worker(id, now);
-        }
-    }
-
-    /// Route a closed batch to the current routing target.
-    fn dispatch<C: Calendar<Ev>>(&mut self, batch: Batch, now: SimTime, q: &mut C) {
-        let target = self.routing;
-        if let Some(w) = self.workers.get_mut(&target) {
+    /// Route a closed batch to the tenant's current routing target.
+    fn dispatch<C: Calendar<Ev>>(&mut self, dep: usize, batch: Batch, now: SimTime, q: &mut C) {
+        let target = self.tenants[dep].routing;
+        if let Some((_, w)) = self.workers.get_mut(&target) {
             let (batch_id, model, hw) = (batch.id.0, batch.model, w.kind);
+            self.tracer.set_scope(self.tenants[dep].scope);
             self.tracer.emit(now, || TraceEventKind::BatchDispatched {
                 batch: batch_id,
                 model,
@@ -391,8 +598,17 @@ impl<'a> Harness<'a> {
         self.sync_worker(target, now, q);
     }
 
-    /// Trace a batch closing at the gateway (size or window trigger).
-    fn trace_batch_formed(&mut self, batch: &Batch, now: SimTime, trigger: BatchTrigger) {
+    /// Trace a batch closing at a tenant's gateway (size or window trigger),
+    /// then dispatch it.
+    fn close_batch<C: Calendar<Ev>>(
+        &mut self,
+        dep: usize,
+        batch: Batch,
+        now: SimTime,
+        trigger: BatchTrigger,
+        q: &mut C,
+    ) {
+        self.trace_scope(dep);
         self.tracer.emit(now, || TraceEventKind::BatchFormed {
             batch: batch.id.0,
             model: batch.model,
@@ -400,21 +616,29 @@ impl<'a> Harness<'a> {
             requests: batch.requests.iter().map(|r| r.id.0).collect(),
             trigger,
         });
+        self.dispatch(dep, batch, now, q);
     }
 
     /// Schedule (or refresh) the batch-window deadline for a model. The
     /// deadline is clamped to `now`: a held-back partial batch (SLO-aware
     /// batching) can have an oldest request whose window expired in the
     /// past.
-    fn ensure_deadline<C: Calendar<Ev>>(&mut self, model: MlModel, now: SimTime, q: &mut C) {
-        let next = self.batchers.get(&model).and_then(|b| b.next_deadline());
-        let slot = self.deadline_at.entry(model).or_insert(None);
+    fn ensure_deadline<C: Calendar<Ev>>(
+        &mut self,
+        dep: usize,
+        model: MlModel,
+        now: SimTime,
+        q: &mut C,
+    ) {
+        let t = &mut self.tenants[dep];
+        let next = t.batchers.get(&model).and_then(|b| b.next_deadline());
+        let slot = t.deadline_at.entry(model).or_insert(None);
         match next {
             Some(d) => {
                 let at = d.max(now);
                 if *slot != Some(at) {
                     *slot = Some(at);
-                    q.schedule(at, Ev::BatchDeadline(model));
+                    q.schedule(at, Ev::BatchDeadline(dep, model));
                 }
             }
             None => *slot = None,
@@ -430,14 +654,21 @@ impl<'a> Harness<'a> {
         requested.clamp(1, cap.max(1))
     }
 
-    /// Apply a scheduling decision: caps and batch sizes now, hardware
-    /// transition in the background.
-    fn apply_decision<C: Calendar<Ev>>(&mut self, decision: Decision, now: SimTime, q: &mut C) {
-        let routing_kind = self.workers[&self.routing].kind;
+    /// Apply a tenant's scheduling decision: caps and batch sizes now,
+    /// hardware transition in the background.
+    fn apply_decision<C: Calendar<Ev>>(
+        &mut self,
+        dep: usize,
+        decision: Decision,
+        now: SimTime,
+        q: &mut C,
+    ) {
+        let routing = self.tenants[dep].routing;
+        let have = self.workers[&routing].1.kind;
         // 1. Batch sizes at the gateway.
         for &(model, md) in &decision.per_model {
-            let bs = self.effective_batch_size(model, md.batch_size, routing_kind);
-            if let Some(b) = self.batchers.get_mut(&model) {
+            let bs = self.effective_batch_size(model, md.batch_size, have);
+            if let Some(b) = self.tenants[dep].batchers.get_mut(&model) {
                 b.set_batch_size(bs);
             }
         }
@@ -447,11 +678,11 @@ impl<'a> Harness<'a> {
             .iter()
             .map(|&(m, md)| (m, md.spatial_cap))
             .collect();
-        for id in [Some(self.routing), self.pending_worker]
+        for id in [Some(routing), self.tenants[dep].pending_worker]
             .into_iter()
             .flatten()
         {
-            if let Some(w) = self.workers.get_mut(&id) {
+            if let Some((_, w)) = self.workers.get_mut(&id) {
                 w.set_caps(decision.total_cap, &per_model);
             }
             self.sync_worker(id, now, q);
@@ -461,191 +692,162 @@ impl<'a> Harness<'a> {
         // rung committed to moments ago) and provisions the new one; the
         // abandoned lease is still billed for its short life.
         let want = decision.hw;
-        let have = self.workers[&self.routing].kind;
-        if want != have && self.available_catalog().contains(want) {
-            let retarget = match self.pending_worker {
+        if want != have && self.can_lease(want) {
+            let retarget = match self.tenants[dep].pending_worker {
                 None => true,
                 Some(pid) => {
-                    let pending_kind = self.workers.get(&pid).map(|w| w.kind);
+                    let pending_kind = self.workers.get(&pid).map(|(_, w)| w.kind);
                     let upgrade_past_pending = pending_kind.is_some_and(|pk| {
                         want != pk && want.performance_index() > pk.performance_index()
                     });
                     if upgrade_past_pending {
+                        self.trace_scope(dep);
                         self.tracer.emit(now, || TraceEventKind::TransitionEnded {
                             worker: pid.0,
                             committed: false,
                         });
                         self.release_worker(pid, now);
-                        self.pending_worker = None;
-                        true
-                    } else {
-                        false
+                        self.tenants[dep].pending_worker = None;
                     }
+                    upgrade_past_pending
                 }
             };
             if retarget {
-                let id = self.provision_worker(want, now, self.cfg.provision_delay, q);
+                let id = self.provision_worker(dep, want, now, self.cfg.provision_delay, q);
                 self.tracer.emit(now, || TraceEventKind::TransitionBegan {
                     worker: id.0,
                     from: have,
                     to: want,
                 });
-                if let Some(w) = self.workers.get_mut(&id) {
+                if let Some((_, w)) = self.workers.get_mut(&id) {
                     w.set_caps(decision.total_cap, &per_model);
                 }
-                self.pending_worker = Some(id);
+                self.tenants[dep].pending_worker = Some(id);
             }
         }
-        self.last_decision = decision;
+        self.tenants[dep].last_decision = decision;
     }
 
-    fn observation(&mut self, now: SimTime) -> Observation {
+    fn observation(&mut self, dep: usize, now: SimTime) -> Observation {
         let lookahead_steps =
             self.cfg.provision_delay.as_secs_f64() / self.cfg.monitor_interval.as_secs_f64();
-        let mut models = Vec::with_capacity(self.models.len());
-        for &m in &self.models.clone() {
-            let observed = self.windows.get_mut(&m).map_or(0.0, |w| w.estimate(now));
-            let predictor = self
+        let available = self.available_for(dep);
+        let t = &mut self.tenants[dep];
+        let routing = self.workers.get(&t.routing).map(|(_, w)| w);
+        let mut models = Vec::with_capacity(t.models.len());
+        for &m in &t.models {
+            let observed = t.windows.get_mut(&m).map_or(0.0, |w| w.estimate(now));
+            let predictor = t
                 .predictors
                 .get_mut(&m)
                 .expect("invariant: predictors are registered for every model at construction");
             predictor.observe(observed);
             let predicted = predictor.predict(lookahead_steps);
-            let pending_batcher = self.batchers.get(&m).map_or(0, |b| b.pending() as u64);
-            let pending_queued: u64 = self.workers.values().map(|w| w.queued_requests(m)).sum();
-            let executing = self
+            let pending_batcher = t.batchers.get(&m).map_or(0, |b| b.pending() as u64);
+            let pending_queued: u64 = self
                 .workers
-                .get(&self.routing)
-                .map_or(0, |w| w.executing_of(m));
-            let kv_demand = self
-                .workers
-                .get(&self.routing)
-                .map_or(0, |w| w.iter_kv_demand(m));
+                .range(worker_range(t.gdep))
+                .map(|(_, (_, w))| w.queued_requests(m))
+                .sum();
             models.push(ModelObs {
                 model: m,
                 pending_requests: pending_batcher + pending_queued,
-                executing_batches: executing,
+                executing_batches: routing.map_or(0, |w| w.executing_of(m)),
                 observed_rps: observed,
                 predicted_rps: predicted,
-                kv_demand_tokens: kv_demand,
+                kv_demand_tokens: routing.map_or(0, |w| w.iter_kv_demand(m)),
             });
         }
         Observation {
             now,
             slo_ms: self.cfg.slo_ms,
-            current_hw: self.workers[&self.routing].kind,
-            transitioning: self.pending_worker.is_some(),
-            pending_hw: self
+            current_hw: self.workers[&t.routing].1.kind,
+            transitioning: t.pending_worker.is_some(),
+            pending_hw: t
                 .pending_worker
                 .and_then(|id| self.workers.get(&id))
-                .map(|w| w.kind),
-            available: self.available_catalog(),
+                .map(|(_, w)| w.kind),
+            available,
             models,
         }
     }
 
-    fn complete_batch(
+    /// Node failure: evict a tenant's routing worker and requeue its work
+    /// on the failover replacement, leased under the post-crash inventory.
+    /// `failed` lists the kinds this crash window has taken down so far; a
+    /// kind joins it (and the unavailable list) the first time it fails.
+    fn fail_tenant<C: Calendar<Ev>>(
         &mut self,
-        batch: &Batch,
-        started: SimTime,
+        dep: usize,
         now: SimTime,
-        solo_ms: f64,
-        hw: InstanceKind,
+        q: &mut C,
+        failed: &mut Vec<InstanceKind>,
     ) {
-        let size = batch.size();
-        for r in &batch.requests {
-            self.completed.push(CompletedRequest {
-                id: r.id,
-                model: r.model,
-                arrival: r.arrival,
-                batch_closed: batch.closed_at,
-                exec_start: started,
-                completed: now,
-                solo_ms,
-                hw,
-                batch_size: size,
-            });
-        }
-        *self.completed_count.entry(batch.model).or_insert(0) += size as u64;
-    }
-
-    /// Node failure: evict the routing worker, requeue its work on an
-    /// upgraded replacement (Fig. 13b rule).
-    fn fail_active<C: Calendar<Ev>>(&mut self, now: SimTime, q: &mut C) -> InstanceKind {
-        let failed_id = self.routing;
-        let failed_kind = self.workers[&failed_id].kind;
-        let (rescued, lost_seqs) = self
-            .workers
-            .get_mut(&failed_id)
-            .map(|w| {
-                // Evicted sequences lose their KV state — they restart from
-                // scratch on the replacement.
-                let seqs = w.drain_iter();
-                (w.fail(now), seqs)
-            })
-            .unwrap_or_default();
+        let failed_id = self.tenants[dep].routing;
+        let Some((_, w)) = self.workers.get_mut(&failed_id) else {
+            return;
+        };
+        let failed_kind = w.kind;
+        // Evicted sequences lose their KV state — they restart from
+        // scratch on the replacement.
+        let lost_seqs = w.drain_iter();
+        let rescued = w.fail(now);
         self.release_worker(failed_id, now);
-        self.unavailable.push(failed_kind);
+        if !failed.contains(&failed_kind) {
+            failed.push(failed_kind);
+            self.unavailable.push(failed_kind);
+        }
         // Abort any in-flight transition targeting the failed kind.
-        if let Some(pid) = self.pending_worker {
-            if self.workers.get(&pid).map(|w| w.kind) == Some(failed_kind) {
+        if let Some(pid) = self.tenants[dep].pending_worker {
+            if self.workers.get(&pid).map(|(_, w)| w.kind) == Some(failed_kind) {
+                self.trace_scope(dep);
                 self.tracer.emit(now, || TraceEventKind::TransitionEnded {
                     worker: pid.0,
                     committed: false,
                 });
                 self.release_worker(pid, now);
-                self.pending_worker = None;
+                self.tenants[dep].pending_worker = None;
             }
         }
-        let avail = self.available_catalog();
-        let replacement = self.failover.replacement(failed_kind, &avail);
+        let leasable: Vec<InstanceKind> = (self.catalog.kinds().iter().copied())
+            .filter(|&k| self.can_lease(k))
+            .collect();
+        let replacement = self
+            .failover
+            .replacement(failed_kind, &Catalog::of(&leasable));
         let replacement_kind = replacement.unwrap_or(failed_kind);
         let policy = self.failover.name();
+        self.trace_scope(dep);
         self.tracer.emit(now, || TraceEventKind::Failover {
             failed: failed_kind,
             replacement,
             policy,
         });
-        let id = self.provision_worker(replacement_kind, now, self.cfg.failover_delay, q);
+        let id = self.provision_worker(dep, replacement_kind, now, self.cfg.failover_delay, q);
         // Re-apply the last sharing decision to the replacement.
-        let per_model: Vec<(MlModel, u32)> = self
+        let t = &mut self.tenants[dep];
+        let per_model: Vec<(MlModel, u32)> = t
             .last_decision
             .per_model
             .iter()
             .map(|&(m, md)| (m, md.spatial_cap))
             .collect();
-        // Re-make evicted sequences for the replacement hardware (full
-        // restart: the pure-hash token lengths come back identical, the KV
-        // footprint is re-reserved, prefill begins again). Deterministic
-        // order: arrival, then request id.
-        let seed = self.cfg.seed;
-        let remade: Vec<IterSeq> = {
-            let mut lost = lost_seqs;
-            lost.sort_by_key(|s| (s.arrival, s.request.0));
-            lost.iter()
-                .map(|s| {
-                    let r = Request {
-                        id: s.request,
-                        model: s.model,
-                        arrival: s.arrival,
-                    };
-                    make_seq(seed, &r, s.closed_at, replacement_kind)
-                })
-                .collect()
-        };
-        if let Some(w) = self.workers.get_mut(&id) {
-            w.set_caps(self.last_decision.total_cap, &per_model);
+        // Re-make evicted sequences for the replacement hardware, in
+        // deterministic order: arrival, then request id.
+        let mut lost = lost_seqs;
+        lost.sort_by_key(|s| (s.arrival, s.request.0));
+        if let Some((_, w)) = self.workers.get_mut(&id) {
+            w.set_caps(t.last_decision.total_cap, &per_model);
             for b in rescued {
                 w.enqueue_front(b);
             }
-            for s in remade {
-                w.enqueue_seq(s);
+            for s in &lost {
+                w.enqueue_seq(remake_seq(self.cfg.seed, s, replacement_kind));
             }
         }
-        self.routing = id;
-        self.transitions += 1;
-        self.hw_timeline.push((now.as_secs_f64(), replacement_kind));
-        failed_kind
+        t.routing = id;
+        t.transitions += 1;
+        t.hw_timeline.push((now.as_secs_f64(), replacement_kind));
     }
 
     /// Combined severity of every open degradation window.
@@ -661,9 +863,9 @@ impl<'a> Harness<'a> {
             .fold(1.0, f64::max)
     }
 
-    /// Worker ids in deterministic (provisioning) order — fault effects
-    /// touch every worker. `BTreeMap` keys already iterate sorted; this
-    /// keeps the explicit contract at the call sites.
+    /// Worker ids in deterministic (id) order — fault effects touch every
+    /// worker. `BTreeMap` keys already iterate sorted; this keeps the
+    /// explicit contract at the call sites.
     fn worker_ids_sorted(&self) -> Vec<WorkerId> {
         self.workers.keys().copied().collect()
     }
@@ -673,7 +875,7 @@ impl<'a> Harness<'a> {
     fn apply_degradation<C: Calendar<Ev>>(&mut self, now: SimTime, q: &mut C) {
         let sev = self.degrade_severity();
         for id in self.worker_ids_sorted() {
-            if let Some(w) = self.workers.get_mut(&id) {
+            if let Some((_, w)) = self.workers.get_mut(&id) {
                 w.set_degradation(now, sev);
             }
             self.sync_worker(id, now, q);
@@ -684,9 +886,84 @@ impl<'a> Harness<'a> {
     /// cold starts begun from now on — no events to refresh).
     fn apply_straggle(&mut self) {
         let mult = self.straggle_multiplier();
-        for w in self.workers.values_mut() {
+        for (_, w) in self.workers.values_mut() {
             w.set_cold_start_multiplier(mult);
         }
+    }
+
+    /// Apply compiled fault edge `idx` to this harness's tenants and
+    /// workers. A node crash fails *every* tenant's routing worker (a
+    /// correlated outage of the serving nodes), in tenant order, each
+    /// failover seeing the kinds the earlier ones took down; degradation,
+    /// straggler and storm windows hit every live worker. The partitioned
+    /// fleet's coordinator applies edges through this same method.
+    pub(crate) fn apply_fault_edge<C: Calendar<Ev>>(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        q: &mut C,
+    ) {
+        let fe = self.faults.events[idx];
+        match (self.faults.windows[fe.window].fault, fe.edge) {
+            (FaultKind::NodeCrash, FaultEdge::Start) => {
+                let mut failed = self.crash_restore.remove(&fe.window).unwrap_or_default();
+                for dep in 0..self.tenants.len() {
+                    self.fail_tenant(dep, now, q, &mut failed);
+                }
+                self.crash_restore.insert(fe.window, failed);
+            }
+            (FaultKind::NodeCrash, FaultEdge::End) => {
+                // The failed kinds come back; policies may switch back at
+                // the next monitor tick.
+                for kind in self.crash_restore.remove(&fe.window).unwrap_or_default() {
+                    if let Some(pos) = self.unavailable.iter().position(|&k| k == kind) {
+                        self.unavailable.remove(pos);
+                    }
+                }
+            }
+            (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
+                self.active_degrades.push((fe.window, severity));
+                self.apply_degradation(now, q);
+            }
+            (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
+                self.active_degrades.retain(|&(i, _)| i != fe.window);
+                self.apply_degradation(now, q);
+            }
+            (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
+                self.active_straggles.push((fe.window, multiplier));
+                self.apply_straggle();
+            }
+            (FaultKind::Straggler { .. }, FaultEdge::End) => {
+                self.active_straggles.retain(|&(i, _)| i != fe.window);
+                self.apply_straggle();
+            }
+            (FaultKind::ColdStartStorm, FaultEdge::Start) => {
+                for id in self.worker_ids_sorted() {
+                    if let Some((_, w)) = self.workers.get_mut(&id) {
+                        w.purge_warm_containers();
+                    }
+                }
+            }
+            (FaultKind::ColdStartStorm, FaultEdge::End) => {}
+        }
+    }
+
+    /// The crash bookkeeping a crash window's edges thread across
+    /// partitions: the unavailable kinds and the kinds `window` took down.
+    pub(crate) fn crash_state(&self, window: usize) -> (Vec<InstanceKind>, Vec<InstanceKind>) {
+        let failed = self.crash_restore.get(&window).cloned().unwrap_or_default();
+        (self.unavailable.clone(), failed)
+    }
+
+    /// Overwrite the crash bookkeeping (see [`Harness::crash_state`]).
+    pub(crate) fn set_crash_state(
+        &mut self,
+        window: usize,
+        unavailable: Vec<InstanceKind>,
+        failed: Vec<InstanceKind>,
+    ) {
+        self.unavailable = unavailable;
+        self.crash_restore.insert(window, failed);
     }
 }
 
@@ -698,13 +975,15 @@ impl<'a> Harness<'a> {
     /// behaviour through the same code path.
     pub(crate) fn on_event<C: Calendar<Ev>>(&mut self, now: SimTime, ev: Ev, q: &mut C) {
         match ev {
-            Ev::Arrival(req) => {
-                *self.arrived.entry(req.model).or_insert(0) += 1;
-                if let Some(w) = self.windows.get_mut(&req.model) {
-                    w.record(now);
-                }
+            Ev::Arrival(dep, req) => {
                 let model = req.model;
                 let rid = req.id.0;
+                let t = &mut self.tenants[dep];
+                *t.arrived.entry(model).or_insert(0) += 1;
+                if let Some(w) = t.windows.get_mut(&model) {
+                    w.record(now);
+                }
+                self.tracer.set_scope(t.scope);
                 self.tracer.emit(now, || TraceEventKind::RequestArrived {
                     request: rid,
                     model,
@@ -718,32 +997,21 @@ impl<'a> Harness<'a> {
                         .sample(self.cfg.seed, rid)
                         .service_hint_ms(model)
                 });
-                let mut next_id = self.next_batch_id;
-                let batch = {
-                    let b = self.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(next_id)
-                    };
-                    match hint_ms {
-                        Some(h) => b.push_with_hint(req, h, now, &mut alloc),
-                        None => b.push(req, now, &mut alloc),
-                    }
-                };
-                self.next_batch_id = next_id;
+                let batch = t.with_batcher(model, |b, mut alloc| match hint_ms {
+                    Some(h) => b.push_with_hint(req, h, now, &mut alloc),
+                    None => b.push(req, now, &mut alloc),
+                });
                 if let Some(batch) = batch {
-                    self.trace_batch_formed(&batch, now, BatchTrigger::Size);
-                    self.dispatch(batch, now, q);
+                    self.close_batch(dep, batch, now, BatchTrigger::Size, q);
                 }
-                self.ensure_deadline(model, now, q);
+                self.ensure_deadline(dep, model, now, q);
             }
-            Ev::BatchDeadline(model) => {
-                if self.deadline_at.get(&model).copied().flatten() != Some(now) {
+            Ev::BatchDeadline(dep, model) => {
+                let t = &mut self.tenants[dep];
+                if t.deadline_at.get(&model).copied().flatten() != Some(now) {
                     return; // stale deadline
                 }
-                self.deadline_at.insert(model, None);
+                t.deadline_at.insert(model, None);
                 // SLO-aware batching: while the serving worker still has
                 // batches queued, dispatching another *partial* batch only
                 // adds per-batch overhead — hold the window open and let the
@@ -752,34 +1020,23 @@ impl<'a> Harness<'a> {
                 // the device's effective capacity collapses.
                 let backlogged = self
                     .workers
-                    .get(&self.routing)
-                    .is_some_and(|w| w.queued(model) > 0);
+                    .get(&t.routing)
+                    .is_some_and(|(_, w)| w.queued(model) > 0);
                 if backlogged {
                     let next = now + self.cfg.batch_window;
-                    self.deadline_at.insert(model, Some(next));
-                    q.schedule(next, Ev::BatchDeadline(model));
+                    t.deadline_at.insert(model, Some(next));
+                    q.schedule(next, Ev::BatchDeadline(dep, model));
                     return;
                 }
-                let mut next_id = self.next_batch_id;
-                let batch = {
-                    let b = self.batchers.get_mut(&model).expect(
-                        "invariant: batchers are registered for every model at construction",
-                    );
-                    let mut alloc = || {
-                        next_id += 1;
-                        BatchId(next_id)
-                    };
-                    b.flush_if_due(now, &mut alloc)
-                };
-                self.next_batch_id = next_id;
-                if let Some(batch) = batch {
-                    self.trace_batch_formed(&batch, now, BatchTrigger::Window);
-                    self.dispatch(batch, now, q);
+                if let Some(batch) =
+                    t.with_batcher(model, |b, mut alloc| b.flush_if_due(now, &mut alloc))
+                {
+                    self.close_batch(dep, batch, now, BatchTrigger::Window, q);
                 }
-                self.ensure_deadline(model, now, q);
+                self.ensure_deadline(dep, model, now, q);
             }
             Ev::DeviceWake { worker, version } => {
-                let Some(w) = self.workers.get_mut(&worker) else {
+                let Some((dep, w)) = self.workers.get_mut(&worker) else {
                     return;
                 };
                 if w.device.version() != version {
@@ -787,10 +1044,25 @@ impl<'a> Harness<'a> {
                 }
                 let kind = w.kind;
                 let done = w.collect_completions(now);
+                let t = &mut self.tenants[*dep as usize];
+                self.tracer.set_scope(t.scope);
                 for (batch, started, solo_ms) in &done {
-                    self.complete_batch(batch, *started, now, *solo_ms, kind);
                     let (batch_id, model, size) = (batch.id.0, batch.model, batch.size());
                     let (started, solo_ms) = (*started, *solo_ms);
+                    for r in &batch.requests {
+                        t.completed.push(CompletedRequest {
+                            id: r.id,
+                            model: r.model,
+                            arrival: r.arrival,
+                            batch_closed: batch.closed_at,
+                            exec_start: started,
+                            completed: now,
+                            solo_ms,
+                            hw: kind,
+                            batch_size: size,
+                        });
+                    }
+                    *t.completed_count.entry(model).or_insert(0) += size as u64;
                     self.tracer.emit(now, || TraceEventKind::BatchCompleted {
                         batch: batch_id,
                         model,
@@ -803,9 +1075,36 @@ impl<'a> Harness<'a> {
                 }
                 self.sync_worker(worker, now, q);
             }
+            Ev::IterTick { worker, version } => {
+                let Some((dep, w)) = self.workers.get_mut(&worker) else {
+                    return;
+                };
+                let kind = w.kind;
+                let t = &mut self.tenants[*dep as usize];
+                self.tracer.set_scope(t.scope);
+                let Some(retired) = w.iter_end(now, version, &mut self.tracer) else {
+                    return; // stale boundary (eviction since the tick armed)
+                };
+                for r in &retired {
+                    t.completed.push(CompletedRequest {
+                        id: r.seq.request,
+                        model: r.seq.model,
+                        arrival: r.seq.arrival,
+                        batch_closed: r.seq.closed_at,
+                        exec_start: r.joined_at,
+                        completed: now,
+                        solo_ms: r.seq.solo_ms,
+                        hw: kind,
+                        batch_size: r.residents_at_join,
+                    });
+                    *t.completed_count.entry(r.seq.model).or_insert(0) += 1;
+                }
+                self.sync_worker(worker, now, q);
+            }
             Ev::ContainerReady { worker, container } => {
-                if let Some(w) = self.workers.get_mut(&worker) {
+                if let Some((dep, w)) = self.workers.get_mut(&worker) {
                     w.pool.mark_warm(container, now);
+                    self.tracer.set_scope(self.tenants[*dep as usize].scope);
                     self.tracer.emit(now, || TraceEventKind::ColdStartFinished {
                         worker: worker.0,
                         container: container.0,
@@ -813,22 +1112,24 @@ impl<'a> Harness<'a> {
                 }
                 self.sync_worker(worker, now, q);
             }
-            Ev::WorkerReady(id) => {
-                let Some(w) = self.workers.get_mut(&id) else {
+            Ev::WorkerReady(dep, id) => {
+                let Some((_, w)) = self.workers.get_mut(&id) else {
                     return;
                 };
                 if w.state != WorkerState::Failed {
                     w.state = WorkerState::Active;
                 }
-                if self.pending_worker == Some(id) {
+                let kind = w.kind;
+                let t = &mut self.tenants[dep];
+                if t.pending_worker == Some(id) {
                     // Switch routing; move queued work over; drain the old.
-                    self.pending_worker = None;
-                    let old = self.routing;
-                    self.routing = id;
-                    self.transitions += 1;
-                    let kind = self.workers[&id].kind;
-                    self.hw_timeline.push((now.as_secs_f64(), kind));
-                    let from = self.workers.get(&old).map(|w| w.kind);
+                    t.pending_worker = None;
+                    let old = t.routing;
+                    t.routing = id;
+                    t.transitions += 1;
+                    t.hw_timeline.push((now.as_secs_f64(), kind));
+                    let from = self.workers.get(&old).map(|(_, w)| w.kind);
+                    self.tracer.set_scope(t.scope);
                     self.tracer.emit(now, || TraceEventKind::TransitionEnded {
                         worker: id.0,
                         committed: true,
@@ -841,7 +1142,7 @@ impl<'a> Harness<'a> {
                     let (moved, moved_seqs) = self
                         .workers
                         .get_mut(&old)
-                        .map(|w| {
+                        .map(|(_, w)| {
                             w.state = WorkerState::Draining;
                             // Waiting sequences move; residents keep
                             // decoding on the draining worker until they
@@ -849,54 +1150,51 @@ impl<'a> Harness<'a> {
                             (w.take_queued(), w.take_waiting_seqs())
                         })
                         .unwrap_or_default();
-                    let seed = self.cfg.seed;
-                    if let Some(new_w) = self.workers.get_mut(&id) {
+                    if let Some((_, new_w)) = self.workers.get_mut(&id) {
                         for b in moved {
                             new_w.enqueue(b);
                         }
-                        for s in moved_seqs {
-                            let r = Request {
-                                id: s.request,
-                                model: s.model,
-                                arrival: s.arrival,
-                            };
-                            new_w.enqueue_seq(make_seq(seed, &r, s.closed_at, kind));
+                        for s in &moved_seqs {
+                            new_w.enqueue_seq(remake_seq(self.cfg.seed, s, kind));
                         }
                     }
-                    let new_kind = self.workers[&id].kind;
-                    self.scheduler.on_transition_complete(new_kind);
+                    self.tenants[dep].scheduler.on_transition_complete(kind);
                     self.sync_worker(old, now, q);
                 }
                 self.sync_worker(id, now, q);
             }
-            Ev::MonitorTick => {
-                let obs = self.observation(now);
-                let decision = self.scheduler.decide(&obs);
+            Ev::MonitorTick(dep) => {
+                let obs = self.observation(dep, now);
+                let t = &mut self.tenants[dep];
+                let decision = t.scheduler.decide(&obs);
                 if self.tracer.enabled() {
-                    for ev in self.scheduler.drain_decision_events() {
+                    self.tracer.set_scope(t.scope);
+                    for ev in t.scheduler.drain_decision_events() {
                         self.tracer
                             .emit(now, move || TraceEventKind::Decision(Box::new(ev)));
                     }
                 }
-                self.apply_decision(decision, now, q);
+                self.apply_decision(dep, decision, now, q);
                 let next = now + self.cfg.monitor_interval;
                 if next < self.trace_end {
-                    q.schedule(next, Ev::MonitorTick);
+                    q.schedule(next, Ev::MonitorTick(dep));
                 }
             }
-            Ev::PredictTick => {
+            Ev::PredictTick(dep) => {
                 // Predictive scale-up on the routing worker: pre-warm enough
                 // containers for the predicted concurrent batches.
-                let routing = self.routing;
-                let kind = self.workers[&routing].kind;
+                let t = &self.tenants[dep];
+                let routing = t.routing;
+                let kind = self.workers[&routing].1.kind;
                 let mut target = 1u32;
-                for &m in &self.models.clone() {
-                    let pred = self.predictors.get(&m).map_or(0.0, |p| p.predict(1.0));
-                    let bs = self.batchers.get(&m).map_or(1, |b| b.batch_size()).max(1);
+                for &m in &t.models {
+                    let pred = t.predictors.get(&m).map_or(0.0, |p| p.predict(1.0));
+                    let bs = t.batchers.get(&m).map_or(1, |b| b.batch_size()).max(1);
                     let solo_s = Profile::solo_ms(m, kind, bs) / 1_000.0;
                     target += (pred * solo_s / bs as f64).ceil() as u32;
                 }
-                if let Some(w) = self.workers.get_mut(&routing) {
+                self.tracer.set_scope(t.scope);
+                if let Some((_, w)) = self.workers.get_mut(&routing) {
                     if w.is_active() {
                         for (cid, ready) in w.pool.prewarm_to(target, now) {
                             self.tracer.emit(now, || TraceEventKind::ColdStartBegan {
@@ -916,11 +1214,11 @@ impl<'a> Harness<'a> {
                 }
                 let next = now + self.cfg.predictive_interval;
                 if next < self.trace_end {
-                    q.schedule(next, Ev::PredictTick);
+                    q.schedule(next, Ev::PredictTick(dep));
                 }
             }
             Ev::KeepAliveTick => {
-                for w in self.workers.values_mut() {
+                for (_, w) in self.workers.values_mut() {
                     w.pool.reap_idle(now);
                 }
                 let next = now + SimDuration::from_secs(60);
@@ -929,78 +1227,8 @@ impl<'a> Harness<'a> {
                 }
             }
             Ev::Fault(idx) => {
-                let fe = self.faults.events[idx];
-                let fault = self.faults.windows[fe.window].fault;
-                let win = fe.window as u32;
-                let started = fe.edge == FaultEdge::Start;
-                self.tracer.emit(now, || TraceEventKind::FaultEdge {
-                    window: win,
-                    desc: format!("{fault:?}"),
-                    started,
-                });
-                match (fault, fe.edge) {
-                    (FaultKind::NodeCrash, FaultEdge::Start) => {
-                        let failed = self.fail_active(now, q);
-                        self.crash_restore.insert(fe.window, failed);
-                    }
-                    (FaultKind::NodeCrash, FaultEdge::End) => {
-                        // The failed kind comes back; policies may switch
-                        // back at the next monitor tick.
-                        if let Some(kind) = self.crash_restore.remove(&fe.window) {
-                            if let Some(pos) = self.unavailable.iter().position(|&k| k == kind) {
-                                self.unavailable.remove(pos);
-                            }
-                        }
-                    }
-                    (FaultKind::MpsDegrade { severity }, FaultEdge::Start) => {
-                        self.active_degrades.push((fe.window, severity));
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::MpsDegrade { .. }, FaultEdge::End) => {
-                        self.active_degrades.retain(|&(i, _)| i != fe.window);
-                        self.apply_degradation(now, q);
-                    }
-                    (FaultKind::Straggler { multiplier }, FaultEdge::Start) => {
-                        self.active_straggles.push((fe.window, multiplier));
-                        self.apply_straggle();
-                    }
-                    (FaultKind::Straggler { .. }, FaultEdge::End) => {
-                        self.active_straggles.retain(|&(i, _)| i != fe.window);
-                        self.apply_straggle();
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::Start) => {
-                        for id in self.worker_ids_sorted() {
-                            if let Some(w) = self.workers.get_mut(&id) {
-                                w.purge_warm_containers();
-                            }
-                        }
-                    }
-                    (FaultKind::ColdStartStorm, FaultEdge::End) => {}
-                }
-            }
-            Ev::IterTick { worker, version } => {
-                let Some(w) = self.workers.get_mut(&worker) else {
-                    return;
-                };
-                let kind = w.kind;
-                let Some(retired) = w.iter_end(now, version, &mut self.tracer) else {
-                    return; // stale boundary (eviction since the tick armed)
-                };
-                for r in &retired {
-                    self.completed.push(CompletedRequest {
-                        id: r.seq.request,
-                        model: r.seq.model,
-                        arrival: r.seq.arrival,
-                        batch_closed: r.seq.closed_at,
-                        exec_start: r.joined_at,
-                        completed: now,
-                        solo_ms: r.seq.solo_ms,
-                        hw: kind,
-                        batch_size: r.residents_at_join,
-                    });
-                    *self.completed_count.entry(r.seq.model).or_insert(0) += 1;
-                }
-                self.sync_worker(worker, now, q);
+                trace_fault_edge(&mut self.tracer, &self.faults, idx, now);
+                self.apply_fault_edge(idx, now, q);
             }
         }
     }
@@ -1018,6 +1246,256 @@ impl<'a> PartitionWorld for Harness<'a> {
     fn handle_part(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
         self.on_event(now, ev, cal);
     }
+}
+
+impl<'a> Harness<'a> {
+    /// Seed the calendar with everything that isn't an arrival: each
+    /// tenant's warm initial worker and periodic ticks, the keep-alive
+    /// chain, and (with `faults`) the compiled fault edges. Generic over the
+    /// calendar so every engine schedules in the same call order (and
+    /// therefore with the same sequence numbers).
+    ///
+    /// Initial placement respects the inventory: if a tenant's requested
+    /// kind is already fully leased by earlier tenants, it falls back to
+    /// the cheapest kind with a free unit (oversubscribing the requested
+    /// kind only when literally nothing is free).
+    pub(crate) fn seed_calendar<C: Calendar<Ev>>(&mut self, q: &mut C, faults: bool) {
+        let cfg = self.cfg;
+        for dep in 0..self.tenants.len() {
+            let requested = self.tenants[dep].initial_hw;
+            let initial = if self.has_free_unit(requested) {
+                requested
+            } else {
+                (self.catalog.by_cost_ascending().into_iter())
+                    .find(|&k| self.has_free_unit(k))
+                    .unwrap_or(requested)
+            };
+            let id = self.provision_worker(dep, initial, SimTime::ZERO, SimDuration::ZERO, q);
+            let t = &mut self.tenants[dep];
+            t.routing = id;
+            t.hw_timeline.push((0.0, initial));
+            q.schedule(SimTime::ZERO + cfg.monitor_interval, Ev::MonitorTick(dep));
+            q.schedule(
+                SimTime::ZERO + cfg.predictive_interval,
+                Ev::PredictTick(dep),
+            );
+        }
+        q.schedule(SimTime::from_secs(60), Ev::KeepAliveTick);
+        if faults {
+            // Compiled fault edges are time-sorted, so insertion order
+            // matches the per-window Start/End interleaving for
+            // non-overlapping schedules.
+            for (i, fe) in self.faults.events.iter().enumerate() {
+                q.schedule(fe.at, Ev::Fault(i));
+            }
+        }
+    }
+
+    /// Completed requests of tenant 0 recorded at or after index `from`, in
+    /// completion order. The session executor drains completions
+    /// incrementally through this window to answer live callers.
+    pub(crate) fn completed_from(&self, from: usize) -> &[CompletedRequest] {
+        let completed = &self.tenants[0].completed;
+        &completed[from.min(completed.len())..]
+    }
+
+    /// Toggle every tenant scheduler's decision-event recording.
+    pub(crate) fn set_decision_recording(&mut self, on: bool) {
+        for t in &mut self.tenants {
+            t.scheduler.set_decision_recording(on);
+        }
+    }
+
+    /// Release every outstanding worker at `horizon` and fold each tenant's
+    /// accounting into its [`RunResult`], in tenant order.
+    pub(crate) fn into_results(mut self, horizon: SimTime) -> Vec<RunResult> {
+        for id in self.worker_ids_sorted() {
+            self.release_worker(id, horizon);
+        }
+        let trace_end = self.trace_end;
+        self.tenants
+            .into_iter()
+            .map(|t| t.into_result(trace_end))
+            .collect()
+    }
+
+    /// Emit the run summary, then [`Harness::into_results`]. The tail of
+    /// every single-harness run — serial, partitioned, and session — so
+    /// results are assembled identically regardless of executor.
+    pub(crate) fn finish(mut self, horizon: SimTime, engine_events: u64) -> Vec<RunResult> {
+        self.tracer.set_scope(0);
+        self.tracer.emit(horizon, || TraceEventKind::RunSummary {
+            events: engine_events,
+            horizon,
+        });
+        self.into_results(horizon)
+    }
+}
+
+/// One partition of the partitioned engine: a harness, its heap calendar,
+/// and the pre-sorted arrival rail that keeps arrivals off the heap.
+pub(crate) struct Partition<'a> {
+    pub(crate) harness: Harness<'a>,
+    cal: PartitionCalendar<Ev>,
+    rail: Rail<Ev>,
+}
+
+impl<'a> Partition<'a> {
+    /// Build a partition over `arrivals` (schedule order) and seed its
+    /// calendar; fault edges are seeded only when the partition owns them
+    /// (`faults`), not when a coordinator applies them at barriers.
+    pub(crate) fn new(
+        mut harness: Harness<'a>,
+        arrivals: Vec<(SimTime, Ev)>,
+        faults: bool,
+    ) -> Self {
+        let mut q = EventQueue::with_capacity(1_024);
+        // Rail entries own the run's smallest seqs — exactly as the serial
+        // engine's up-front arrival scheduling does — so everything seeded
+        // below gets the seq it gets there.
+        q.skip_seqs(arrivals.len() as u64);
+        let mut cal = PartitionCalendar::new(q);
+        harness.seed_calendar(&mut cal, faults);
+        Partition {
+            harness,
+            cal,
+            rail: Rail::from_schedule_order(arrivals),
+        }
+    }
+
+    /// Run every event strictly before `bound`; returns the events run.
+    pub(crate) fn run_to(&mut self, bound: EventKey) -> u64 {
+        run_partition(
+            &mut self.harness,
+            &mut self.cal,
+            &mut self.rail,
+            bound,
+            paldia_sim::engine::DEFAULT_EVENT_BUDGET,
+        )
+        .events()
+    }
+
+    /// Apply compiled fault edge `idx` at `now` (coordinator barriers).
+    pub(crate) fn apply_fault_edge(&mut self, idx: usize, now: SimTime) {
+        self.harness.apply_fault_edge(idx, now, &mut self.cal);
+    }
+}
+
+/// One pre-sampled arrival, in generation (tenant-major, then model-major)
+/// order.
+///
+/// `seq` is the calendar sequence number the arrival owns in the batch
+/// engines (arrivals are scheduled before anything else, so generation
+/// index == seq); `id` is the request id the harness assigns it. Recording
+/// both lets a replayed trace reproduce the batch run's `(time, seq)`
+/// total order — and therefore its every tie-break — bit-for-bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SampledArrival {
+    /// Calendar sequence number (generation index) of this arrival.
+    pub seq: u64,
+    /// Request id the harness assigns (1-based, generation order).
+    pub id: RequestId,
+    /// Absolute arrival time.
+    pub at: SimTime,
+    /// Model invoked.
+    pub model: MlModel,
+}
+
+/// Sample every arrival for `workloads` under `seed`, exactly as the batch
+/// entry points do (tenant 0 of the fleet sampler, whose fork key
+/// `(tenant << 8) | (model index + 1)` reduces to `model index + 1`). This
+/// is the single copy of the sampling discipline — [`run_simulation`] consumes it
+/// directly and `crate::replay` records it to disk — so a recorded trace
+/// can never drift from what the simulator would have sampled.
+///
+/// Returns the arrivals and the trace end (max workload duration).
+pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
+    let (mut per_tenant, trace_end) = sample_tenants([workloads], seed);
+    (per_tenant.pop().unwrap_or_default(), trace_end)
+}
+
+/// Sample every tenant's arrivals under `seed`: one fork of the root RNG
+/// per `(tenant, workload)`, keyed `(tenant << 8) | (model index + 1)`,
+/// arrivals concatenated tenant-major then workload (model-major) order;
+/// request ids and seqs count across all tenants. Arrival generation is
+/// inherently serial — [`SimRng::fork`] consumes entropy from the parent
+/// stream — so every engine samples here, before distributing work.
+///
+/// Returns per-tenant arrivals and the trace end (max workload duration).
+pub(crate) fn sample_tenants<'w>(
+    tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>,
+    seed: u64,
+) -> (Vec<Vec<SampledArrival>>, SimTime) {
+    let mut rng = SimRng::new(seed);
+    let mut out = Vec::new();
+    let mut trace_end = SimTime::ZERO;
+    let mut seq = 0u64;
+    for (dep, workloads) in tenants.into_iter().enumerate() {
+        let mut arrivals = Vec::new();
+        for spec in workloads {
+            let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
+            trace_end = trace_end.max(SimTime::ZERO + spec.trace.duration());
+            for at in generate_arrivals(&spec.trace, &mut model_rng) {
+                arrivals.push(SampledArrival {
+                    seq,
+                    id: RequestId(seq + 1),
+                    at,
+                    model: spec.model,
+                });
+                seq += 1;
+            }
+        }
+        out.push(arrivals);
+    }
+    (out, trace_end)
+}
+
+/// Arrival events in schedule order for tenants `0..` of a harness.
+pub(crate) fn arrival_events(
+    per_tenant: impl IntoIterator<Item = Vec<SampledArrival>>,
+) -> Vec<(SimTime, Ev)> {
+    let mut out = Vec::new();
+    for (dep, arrivals) in per_tenant.into_iter().enumerate() {
+        out.extend(arrivals.into_iter().map(|sa| {
+            let req = Request {
+                id: sa.id,
+                model: sa.model,
+                arrival: sa.at,
+            };
+            (sa.at, Ev::Arrival(dep, req))
+        }));
+    }
+    out
+}
+
+/// Run a harness to its horizon on one engine and assemble the results:
+/// the serial engine ([`run_until`]) with every arrival scheduled up
+/// front, or one partition of the partitioned engine ([`run_partition`])
+/// with arrivals on the rail. Both seed the calendar identically after the
+/// arrivals, so every output byte matches between them.
+pub(crate) fn run_harness(
+    mut harness: Harness<'_>,
+    arrivals: Vec<Vec<SampledArrival>>,
+    partitioned: bool,
+) -> (Vec<RunResult>, u64) {
+    let horizon = harness.trace_end + harness.cfg.drain_grace;
+    let arrivals = arrival_events(arrivals);
+    let (harness, events) = if partitioned {
+        let mut part = Partition::new(harness, arrivals, true);
+        let events = part.run_to(EventKey::new(horizon, 0));
+        (part.harness, events)
+    } else {
+        // Reserve the heap's high-water mark up front: arrivals dominate
+        // it; 9/8 covers in-flight events.
+        let mut q: EventQueue<Ev> = EventQueue::with_capacity(arrivals.len() * 9 / 8 + 64);
+        for (at, ev) in arrivals {
+            q.schedule(at, ev);
+        }
+        harness.seed_calendar(&mut q, true);
+        let events = run_until(&mut harness, &mut q, horizon).events();
+        (harness, events)
+    };
+    (harness.finish(horizon, events), events)
 }
 
 /// Run one scheme over the given workloads. `initial_hw` is the node the
@@ -1109,85 +1587,10 @@ pub fn run_simulation_traced_sharded(
     result
 }
 
-/// Seed the calendar with everything that isn't an arrival: the warm initial
-/// worker, the periodic ticks, and the compiled fault edges. Generic over the
-/// calendar so every engine schedules in the same call order (and therefore
-/// with the same sequence numbers).
-pub(crate) fn seed_calendar<C: Calendar<Ev>>(
-    harness: &mut Harness<'_>,
-    initial_hw: InstanceKind,
-    cfg: &SimConfig,
-    q: &mut C,
-) {
-    // Initial worker starts warm.
-    let first = harness.provision_worker(initial_hw, SimTime::ZERO, SimDuration::ZERO, q);
-    harness.routing = first;
-    harness.hw_timeline.push((0.0, initial_hw));
-
-    q.schedule(SimTime::ZERO + cfg.monitor_interval, Ev::MonitorTick);
-    q.schedule(SimTime::ZERO + cfg.predictive_interval, Ev::PredictTick);
-    q.schedule(SimTime::from_secs(60), Ev::KeepAliveTick);
-    // Compiled fault edges are time-sorted, so insertion order matches the
-    // old per-window Start/End interleaving for non-overlapping schedules.
-    for i in 0..harness.faults.events.len() {
-        let at = harness.faults.events[i].at;
-        q.schedule(at, Ev::Fault(i));
-    }
-}
-
-/// One pre-sampled arrival, in generation (model-major) order.
-///
-/// `seq` is the calendar sequence number the arrival owns in the batch
-/// engines (arrivals are scheduled before anything else, so generation
-/// index == seq); `id` is the request id the harness assigns it. Recording
-/// both lets a replayed trace reproduce the batch run's `(time, seq)`
-/// total order — and therefore its every tie-break — bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SampledArrival {
-    /// Calendar sequence number (generation index) of this arrival.
-    pub seq: u64,
-    /// Request id the harness assigns (1-based, generation order).
-    pub id: RequestId,
-    /// Absolute arrival time.
-    pub at: SimTime,
-    /// Model invoked.
-    pub model: MlModel,
-}
-
-/// Sample every arrival for `workloads` under `seed`, exactly as the batch
-/// entry points do: one fork of the root RNG per workload keyed by model
-/// index, arrivals concatenated in workload (model-major) order. This is
-/// the single copy of the sampling discipline — [`run_simulation`] consumes
-/// it directly and `crate::replay` records it to disk — so a recorded trace
-/// can never drift from what the simulator would have sampled.
-///
-/// Returns the arrivals and the trace end (max workload duration).
-pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    let mut rng = SimRng::new(seed);
-    let mut out = Vec::new();
-    let mut trace_end = SimTime::ZERO;
-    let mut req_id = 0u64;
-    for spec in workloads {
-        let mut model_rng = rng.fork(spec.model.index() as u64 + 1);
-        let arrivals = generate_arrivals(&spec.trace, &mut model_rng);
-        let end = SimTime::ZERO + spec.trace.duration();
-        if end > trace_end {
-            trace_end = end;
-        }
-        for t in arrivals {
-            let seq = out.len() as u64;
-            req_id += 1;
-            out.push(SampledArrival {
-                seq,
-                id: RequestId(req_id),
-                at: t,
-                model: spec.model,
-            });
-        }
-    }
-    (out, trace_end)
-}
-
+/// A single-tenant run: a fleet of one over elastic inventory. `shards >= 2`
+/// opts into the partitioned engine; the whole run is one tenant partition,
+/// so the shard *count* does not change behaviour here — only the engine
+/// selection does, and every output byte matches the serial engine.
 fn run_simulation_impl<'a>(
     workloads: &[WorkloadSpec],
     scheduler: &'a mut dyn Scheduler,
@@ -1197,187 +1600,31 @@ fn run_simulation_impl<'a>(
     tracer: Tracer<'a>,
     shards: u32,
 ) -> RunResult {
-    // `shards >= 2` opts into the partitioned (lean) engine. The whole
-    // harness is one tenant partition, so the shard *count* does not change
-    // behaviour here — only the engine selection does; the contract is that
-    // every output byte matches the serial engine.
-    let lean = shards >= 2;
-    let expected: f64 = workloads.iter().map(|s| s.trace.expected_requests()).sum();
-    // Serial mode reserves the heap's high-water mark up front (arrivals
-    // dominate it; 9/8 covers sampling variance plus in-flight events). The
-    // partitioned mode keeps arrivals on the rail, so its heap stays small.
-    let mut q: EventQueue<Ev> = if lean {
-        EventQueue::with_capacity(1_024)
-    } else {
-        EventQueue::with_capacity((expected * 1.125) as usize + 64)
-    };
-
-    // Pre-sample all arrivals — identical generation order in both modes,
-    // and identical to what a recorded replay of the same workloads carries
-    // (the sampler is shared with `crate::replay`).
-    let (sampled, trace_end) = sample_arrivals(workloads, cfg.seed);
-    let models: Vec<MlModel> = workloads.iter().map(|s| s.model).collect();
-    let mut rail_items: Vec<(SimTime, Ev)> = Vec::new();
-    if lean {
-        rail_items.reserve(sampled.len() + 64);
-    }
-    for sa in sampled {
-        let ev = Ev::Arrival(Request {
-            id: sa.id,
-            model: sa.model,
-            arrival: sa.at,
-        });
-        if lean {
-            rail_items.push((sa.at, ev));
-        } else {
-            q.schedule(sa.at, ev);
-        }
-    }
-    // The rail owns the run's first sequence numbers; consuming them here
-    // gives everything scheduled below the same seq it gets in serial mode.
-    if lean {
-        q.skip_seqs(rail_items.len() as u64);
-    }
-
-    let horizon = trace_end + cfg.drain_grace;
-    let mut harness = build_harness(
-        models, scheduler, initial_hw, catalog, cfg, tracer, trace_end, lean,
-    );
-
-    let outcome = if lean {
-        let mut cal = PartitionCalendar::new(q);
-        seed_calendar(&mut harness, initial_hw, cfg, &mut cal);
-        let mut rail = Rail::from_schedule_order(rail_items);
-        run_partition(
-            &mut harness,
-            &mut cal,
-            &mut rail,
-            EventKey::new(horizon, 0),
-            paldia_sim::engine::DEFAULT_EVENT_BUDGET,
-        )
-    } else {
-        seed_calendar(&mut harness, initial_hw, cfg, &mut q);
-        run_until(&mut harness, &mut q, horizon)
-    };
-    harness.finalize(horizon, outcome.events())
+    let (arrivals, trace_end) = sample_tenants([workloads], cfg.seed);
+    let models = workloads.iter().map(|s| s.model).collect();
+    let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
+    let harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], trace_end, tracer);
+    let (mut results, _) = run_harness(harness, arrivals, shards >= 2);
+    results.pop().expect("invariant: one tenant, one result")
 }
 
-/// Construct a harness over `models` with no arrivals scheduled yet.
-///
-/// Shared by [`run_simulation_impl`] (which pre-samples every arrival) and
-/// the incremental [`crate::session::SimSession`] (which learns of arrivals
-/// one at a time). Field-for-field identical to the construction the batch
-/// entry points have always performed; the fault schedule is compiled
-/// against the run horizon `trace_end + cfg.drain_grace`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_harness<'a>(
-    models: Vec<MlModel>,
-    scheduler: &'a mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &'a SimConfig,
-    tracer: Tracer<'a>,
-    trace_end: SimTime,
-    lean: bool,
-) -> Harness<'a> {
-    let horizon = trace_end + cfg.drain_grace;
-    let compiled = cfg.faults.compile(horizon);
-    let window = cfg.provision_delay.max(SimDuration::from_secs(2));
-    Harness {
-        cfg,
-        scheduler,
-        catalog,
-        unavailable: Vec::new(),
-        workers: BTreeMap::new(),
-        routing: WorkerId(0),
-        pending_worker: None,
-        next_worker_id: 0,
-        batchers: models
-            .iter()
-            .map(|&m| {
-                (
-                    m,
-                    Batcher::new(m, Profile::default_batch(m), cfg.batch_window),
-                )
-            })
-            .collect(),
-        deadline_at: BTreeMap::new(),
-        windows: models
-            .iter()
-            .map(|&m| (m, RateWindow::new(window)))
-            .collect(),
-        predictors: models.iter().map(|&m| (m, cfg.predictor.build())).collect(),
-        models,
-        last_decision: Decision::stay(initial_hw),
-        next_batch_id: 0,
-        completed: Vec::new(),
-        arrived: BTreeMap::new(),
-        completed_count: BTreeMap::new(),
-        cost: CostMeter::new(),
-        nodes: Vec::new(),
-        cold_starts: 0,
-        transitions: 0,
-        hw_timeline: Vec::new(),
-        trace_end,
-        faults: compiled,
-        failover: cfg.failover.build(),
-        crash_restore: BTreeMap::new(),
-        active_degrades: Vec::new(),
-        active_straggles: Vec::new(),
-        tracer,
-        lean,
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl<'a> Harness<'a> {
-    /// Completed requests recorded at or after index `from`, in completion
-    /// order. The session executor drains completions incrementally through
-    /// this window to answer live callers.
-    pub(crate) fn completed_from(&self, from: usize) -> &[CompletedRequest] {
-        &self.completed[from.min(self.completed.len())..]
+    #[test]
+    fn calendar_entries_stay_small() {
+        // A heap entry is a 16-byte key plus the event; keep it at 48 B.
+        assert!(
+            std::mem::size_of::<Ev>() <= 32,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
     }
 
-    /// Toggle the scheduler's decision-event recording (the traced entry
-    /// points flip it around the run; the session executor flips it around
-    /// its lifetime).
-    pub(crate) fn set_decision_recording(&mut self, on: bool) {
-        self.scheduler.set_decision_recording(on);
-    }
-
-    /// Emit the run summary, release every outstanding worker at `horizon`,
-    /// and fold the accumulated accounting into the [`RunResult`]. The tail
-    /// of every engine's run — batch, partitioned, and session — so the
-    /// result is assembled identically regardless of executor.
-    pub(crate) fn finalize(mut self, horizon: SimTime, engine_events: u64) -> RunResult {
-        self.tracer.emit(horizon, || TraceEventKind::RunSummary {
-            events: engine_events,
-            horizon,
-        });
-
-        // Final accounting.
-        let worker_ids: Vec<WorkerId> = self.workers.keys().copied().collect();
-        for id in worker_ids {
-            self.release_worker(id, horizon);
-        }
-        let total_arrived: u64 = self.arrived.values().sum();
-        let total_completed: u64 = self.completed_count.values().sum();
-        let arrived_per_model: Vec<(MlModel, u64)> = {
-            let mut v: Vec<_> = self.arrived.iter().map(|(&m, &n)| (m, n)).collect();
-            v.sort_by_key(|&(m, _)| m.index());
-            v
-        };
-
-        RunResult {
-            scheme: self.scheduler.name().to_string(),
-            completed: std::mem::take(&mut self.completed),
-            unserved: total_arrived.saturating_sub(total_completed),
-            arrived_per_model,
-            cost: self.cost.clone(),
-            nodes: std::mem::take(&mut self.nodes),
-            cold_starts: self.cold_starts,
-            transitions: self.transitions,
-            hw_timeline: std::mem::take(&mut self.hw_timeline),
-            trace_duration: self.trace_end - SimTime::ZERO,
-        }
+    #[test]
+    fn tenant_zero_namespaces_are_the_identity() {
+        assert_eq!(worker_range(0), WorkerId(0)..=WorkerId(0xF_FFFF));
+        assert_eq!(*worker_range(3).start(), WorkerId(3 << 20));
     }
 }

@@ -13,10 +13,14 @@
 //! is policy-agnostic and returns a [`RunResult`] with every served
 //! request's latency breakdown plus cost/energy/utilization accounting.
 //!
-//! Both harnesses have traced twins ([`run_simulation_traced`],
-//! [`run_fleet_traced`]) that record the `paldia-obs` observability stream
-//! — per-request spans and scheduler decision logs — without perturbing
-//! metrics (bit-identical to the untraced run).
+//! One tenant-indexed harness ([`harness`]) serves every run: a
+//! single-tenant run is a fleet of one over elastic inventory, and
+//! [`fleet`] runs many tenants over a shared inventory, serially or
+//! partitioned across shards. Both kinds of entry point have traced twins
+//! ([`run_simulation_traced`], [`run_fleet_traced`]) that record the
+//! `paldia-obs` observability stream — per-request spans and scheduler
+//! decision logs — without perturbing metrics (bit-identical to the
+//! untraced run).
 //!
 //! Beyond the batch entry points, the [`session`] module exposes the same
 //! harness as an open system — step events, inject arrivals — which is how

@@ -3,11 +3,13 @@
 //! injected from outside instead of pre-scheduled.
 //!
 //! This is the seam the serving shell (`paldia-serve`) plugs into. A
-//! [`SimSession`] owns the exact [`Harness`](crate::harness) the batch entry
-//! points build — same construction, same calendar seeding, same single
-//! `on_event` domain logic — but exposes `step`/`inject` so a caller can
-//! interleave event processing with arrivals it learns about at runtime
-//! (from a socket, a replay file, a test).
+//! [`SimSession`] owns the one tenant-indexed [`Harness`](crate::harness)
+//! every entry point builds — here a fleet of one over elastic inventory,
+//! exactly as [`crate::run_simulation`] builds it: same construction, same
+//! calendar seeding, same single `on_event` domain logic — but exposes
+//! `step`/`inject` so a caller can interleave event processing with
+//! arrivals it learns about at runtime (from a socket, a replay file, a
+//! test).
 //!
 //! # Bit-identical replay
 //!
@@ -32,7 +34,7 @@
 //! `paldia-serve` asserts exactly that.
 
 use crate::config::SimConfig;
-use crate::harness::{build_harness, seed_calendar, Ev, Harness, SampledArrival};
+use crate::harness::{Ev, Harness, SampledArrival, Tenant};
 use crate::policy::Scheduler;
 use crate::request::{CompletedRequest, Request, RequestId};
 use crate::result::RunResult;
@@ -130,15 +132,14 @@ impl<'a> SimSession<'a> {
         traced: bool,
     ) -> Self {
         let horizon = trace_end + cfg.drain_grace;
-        let mut harness = build_harness(
-            models, scheduler, initial_hw, catalog, cfg, tracer, trace_end, false,
-        );
+        let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
+        let mut harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], trace_end, tracer);
         let mut q: EventQueue<Ev> = EventQueue::new();
         // Arrivals own the first `reserved_arrivals` sequence numbers, as
         // they do in the batch engines; everything the calendar seeding
         // schedules below starts after the block.
         q.skip_seqs(reserved_arrivals);
-        seed_calendar(&mut harness, initial_hw, cfg, &mut q);
+        harness.seed_calendar(&mut q, true);
         SimSession {
             harness,
             q,
@@ -186,11 +187,14 @@ impl<'a> SimSession<'a> {
         self.q.schedule_reserved(
             sa.at,
             sa.seq,
-            Ev::Arrival(Request {
-                id: sa.id,
-                model: sa.model,
-                arrival: sa.at,
-            }),
+            Ev::Arrival(
+                0,
+                Request {
+                    id: sa.id,
+                    model: sa.model,
+                    arrival: sa.at,
+                },
+            ),
         );
     }
 
@@ -203,11 +207,14 @@ impl<'a> SimSession<'a> {
         let id = RequestId(self.reserved + self.next_live_id);
         self.q.schedule(
             at,
-            Ev::Arrival(Request {
-                id,
-                model,
-                arrival: at,
-            }),
+            Ev::Arrival(
+                0,
+                Request {
+                    id,
+                    model,
+                    arrival: at,
+                },
+            ),
         );
         id
     }
@@ -248,7 +255,8 @@ impl<'a> SimSession<'a> {
             events,
             ..
         } = self;
-        harness.finalize(horizon, events)
+        let mut results = harness.finish(horizon, events);
+        results.pop().expect("invariant: one tenant, one result")
     }
 }
 
