@@ -79,10 +79,6 @@ pub struct SharedDevice {
     degradation: f64,
     /// Integral of non-idle time, seconds ("utilization" in Fig. 8).
     busy_s: f64,
-    /// Allocation-free [`Self::slowdown`] fast path, enabled by the
-    /// partitioned engine. Off by default so the serial engine keeps its
-    /// original code path as the frozen performance oracle.
-    lean: bool,
 }
 
 impl SharedDevice {
@@ -95,29 +91,20 @@ impl SharedDevice {
             host_contention: host_contention.max(0.0),
             degradation: 0.0,
             busy_s: 0.0,
-            lean: false,
         }
-    }
-
-    /// Enable the allocation-free slowdown path (partitioned engine only).
-    pub fn set_lean(&mut self, lean: bool) {
-        self.lean = lean;
     }
 
     /// Current multiplicative slowdown applied to every active job:
     /// resource contention × per-client MPS overhead × host contention.
     pub fn slowdown(&self) -> f64 {
-        let mut s = if self.lean {
-            // Same operation sequence as `mps_slowdown` on a collected
-            // slice — sum in admission order, max, then the client factor —
-            // so the result is bit-identical, minus the `Vec` allocation
-            // this hot path would otherwise pay per call.
-            let demand: f64 = self.active.iter().map(|j| j.fbr).sum();
-            demand.max(1.0) * paldia_hw::client_overhead_factor(self.active.len() as f64)
-        } else {
-            let shares: Vec<f64> = self.active.iter().map(|j| j.fbr).collect();
-            paldia_hw::mps_slowdown(&shares)
-        } * (1.0 + self.host_contention);
+        // Same operation sequence as `paldia_hw::mps_slowdown` on the
+        // active shares — sum in admission order, max, then the client
+        // factor — so the result is bit-identical to that reference,
+        // without collecting the shares into a `Vec` on this hot path.
+        let demand: f64 = self.active.iter().map(|j| j.fbr).sum();
+        let mut s = demand.max(1.0)
+            * paldia_hw::client_overhead_factor(self.active.len() as f64)
+            * (1.0 + self.host_contention);
         // Guarded so no-fault runs stay bit-identical to pre-fault builds.
         if self.degradation > 0.0 {
             s *= 1.0 + self.degradation;
