@@ -21,7 +21,9 @@
 //! excess of the *largest* pending hint over the uniform assumption.
 //! Hint-free pushes use the uniform service time, making the effective
 //! window exactly the configured one — request-level runs are bit-identical
-//! to the pre-hint batcher.
+//! to the pre-hint batcher. The largest pending hint is kept up to date on
+//! every push and recomputed only when a batch closes, so a deadline check
+//! costs O(1) however many requests are pending.
 
 use crate::request::{Batch, BatchId, Request};
 use paldia_sim::{SimDuration, SimTime};
@@ -35,6 +37,8 @@ pub struct Batcher {
     pending: VecDeque<Request>,
     /// Per-request service-time hints, parallel to `pending`, ms.
     hints: VecDeque<f64>,
+    /// The largest entry of `hints` (0 when nothing is pending), ms.
+    max_hint: f64,
     batch_size: u32,
     window: SimDuration,
     /// The per-item service time the window was sized for, ms.
@@ -48,6 +52,7 @@ impl Batcher {
             model,
             pending: VecDeque::new(),
             hints: VecDeque::new(),
+            max_hint: 0.0,
             batch_size: batch_size.max(1),
             window,
             uniform_ms: Profile::uniform_service_ms(model),
@@ -103,8 +108,10 @@ impl Batcher {
         now: SimTime,
         alloc: &mut impl FnMut() -> BatchId,
     ) -> Option<Batch> {
+        let hint_ms = hint_ms.max(0.0);
         self.pending.push_back(req);
-        self.hints.push_back(hint_ms.max(0.0));
+        self.hints.push_back(hint_ms);
+        self.max_hint = self.max_hint.max(hint_ms);
         if self.pending.len() as u32 >= self.batch_size {
             self.close(now, alloc)
         } else {
@@ -118,11 +125,10 @@ impl Batcher {
     /// pushes the largest hint *is* the uniform assumption and this returns
     /// the configured window exactly.
     pub fn effective_window(&self) -> SimDuration {
-        let max_hint = self.hints.iter().fold(0.0f64, |a, &b| a.max(b));
-        if max_hint <= self.uniform_ms {
+        if self.max_hint <= self.uniform_ms {
             return self.window;
         }
-        let excess = SimDuration::from_millis_f64(max_hint - self.uniform_ms);
+        let excess = SimDuration::from_millis_f64(self.max_hint - self.uniform_ms);
         self.window.saturating_sub(excess)
     }
 
@@ -167,6 +173,7 @@ impl Batcher {
         let take = (self.batch_size as usize).min(self.pending.len());
         let requests: Vec<Request> = self.pending.drain(..take).collect();
         self.hints.drain(..take.min(self.hints.len()));
+        self.max_hint = self.hints.iter().fold(0.0f64, |a, &b| a.max(b));
         Some(Batch {
             id: alloc(),
             model: self.model,
@@ -328,6 +335,64 @@ mod tests {
         // batch open at all only adds to an already-blown deadline.
         let batch = b.flush_if_due(SimTime::from_millis(3), &mut alloc).unwrap();
         assert_eq!(batch.size(), 1);
+    }
+
+    #[test]
+    fn tracked_max_hint_matches_a_fold_over_the_pending_hints() {
+        // Hinted and uniform pushes, closed by the size trigger, the window
+        // trigger and batch-size changes: after every step the window must
+        // equal the one a full fold over the still-pending hints gives.
+        let uniform = paldia_workloads::Profile::uniform_service_ms(MlModel::ResNet50);
+        let (mut b, mut alloc) = mk();
+        let mut shadow: VecDeque<f64> = VecDeque::new();
+        let reference = |hints: &VecDeque<f64>| {
+            let max = hints.iter().fold(0.0f64, |a, &h| a.max(h));
+            if max <= uniform {
+                SimDuration::from_millis(20)
+            } else {
+                SimDuration::from_millis(20)
+                    .saturating_sub(SimDuration::from_millis_f64(max - uniform))
+            }
+        };
+        let hints = [
+            None,
+            Some(uniform + 9.0),
+            None,
+            Some(uniform + 3.0),
+            None,
+            None,
+        ];
+        let mut size_closes = 0;
+        let mut window_closes = 0;
+        for i in 0..60u64 {
+            let now = SimTime::from_millis(i * 10);
+            if i % 7 == 0 {
+                b.set_batch_size(2 + (i % 4) as u32);
+            }
+            let closed = match hints[i as usize % hints.len()] {
+                Some(h) => {
+                    shadow.push_back(h);
+                    b.push_with_hint(req(i, i * 10), h, now, &mut alloc)
+                }
+                None => {
+                    shadow.push_back(uniform);
+                    b.push(req(i, i * 10), now, &mut alloc)
+                }
+            };
+            if let Some(batch) = closed {
+                size_closes += 1;
+                shadow.drain(..batch.size() as usize);
+            }
+            assert_eq!(b.effective_window(), reference(&shadow), "after push {i}");
+            let check = now + SimDuration::from_millis((i % 4) * 3);
+            if let Some(batch) = b.flush_if_due(check, &mut alloc) {
+                window_closes += 1;
+                shadow.drain(..batch.size() as usize);
+            }
+            assert_eq!(b.effective_window(), reference(&shadow), "after flush {i}");
+            assert_eq!(b.pending(), shadow.len());
+        }
+        assert!(size_closes > 0 && window_closes > 0);
     }
 
     #[test]
