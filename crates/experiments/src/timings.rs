@@ -1,5 +1,6 @@
 //! Wall-clock timing for the reproduction harness and the tracked perf
-//! baseline file `BENCH_repro.json` at the repo root.
+//! baseline file `BENCH_repro.json` at the repo root (written relative to
+//! the current directory; `scripts/bench.sh` runs from the root).
 //!
 //! `repro --timings` times the run end-to-end and per figure, reports the
 //! y-search plan-cache hit rate, prints a timing table, and appends one
@@ -163,10 +164,13 @@ pub fn append_entry(path: &Path, entry: &TimingReport) -> std::io::Result<()> {
     f.write_all(body.as_bytes())
 }
 
-/// The tracked bench file at the repo root (resolved from this crate's
-/// manifest, so `cargo run` from any directory lands in the same place).
+/// The bench file `repro --timings` appends to: `BENCH_repro.json` in the
+/// current directory. `scripts/bench.sh` runs from the repo root, so its
+/// entries land in the tracked file; a binary run anywhere else — a copy
+/// in another checkout, a scratch directory — writes beside itself and
+/// never into the checkout it was built from.
 pub fn default_bench_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_repro.json")
+    std::path::PathBuf::from("BENCH_repro.json")
 }
 
 #[cfg(test)]
