@@ -44,36 +44,131 @@ fn steady(model: MlModel, rps: f64, secs: u64) -> Vec<WorkloadSpec> {
     )]
 }
 
-#[test]
-fn single_tenant_fleet_matches_solo_run_closely() {
-    // One deployment over an effectively unlimited inventory should behave
-    // like the single-tenant harness (event interleaving differs slightly,
-    // headline numbers must not).
-    let cfg = SimConfig::with_seed(3);
-    let solo = run_simulation(
-        &steady(MlModel::ResNet50, 80.0, 60),
-        &mut Wants(InstanceKind::G3s_xlarge),
-        InstanceKind::G3s_xlarge,
-        Catalog::table_ii(),
-        &cfg,
-    );
+/// Every [`RunResult`] field except `scheme`, as text (floats print their
+/// shortest round-trip form, so equal text means equal bits).
+fn fields_but_scheme(r: &RunResult) -> String {
+    format!(
+        "{:?}|{}|{:?}|{:?}|{:?}|{}|{}|{:?}|{:?}",
+        r.completed,
+        r.unserved,
+        r.arrived_per_model,
+        r.cost,
+        r.nodes,
+        r.cold_starts,
+        r.transitions,
+        r.hw_timeline,
+        r.trace_duration
+    )
+}
+
+/// Run `workloads` once through `run_simulation` and once as a fleet of one
+/// (`units` per kind), each with a fresh scheduler from `make`; assert the
+/// results agree in every field except the scheme label.
+fn assert_fleet_of_one_equals_solo(
+    workloads: &[WorkloadSpec],
+    make: impl Fn() -> Box<dyn Scheduler>,
+    initial_hw: InstanceKind,
+    units: u32,
+    cfg: &SimConfig,
+) -> RunResult {
+    let mut sched = make();
+    let solo = run_simulation(workloads, &mut *sched, initial_hw, Catalog::table_ii(), cfg);
     let fleet = run_fleet(
         vec![FleetDeployment {
             name: "only".into(),
-            workloads: steady(MlModel::ResNet50, 80.0, 60),
-            scheduler: Box::new(Wants(InstanceKind::G3s_xlarge)),
-            initial_hw: InstanceKind::G3s_xlarge,
+            workloads: workloads.to_vec(),
+            scheduler: make(),
+            initial_hw,
         }],
         Catalog::table_ii(),
+        units,
+        cfg,
+    );
+    assert_eq!(fleet.len(), 1);
+    assert_eq!(fields_but_scheme(&fleet[0]), fields_but_scheme(&solo));
+    assert_eq!(fleet[0].scheme, format!("{} [only]", solo.scheme));
+    solo
+}
+
+#[test]
+fn single_tenant_fleet_equals_solo_run() {
+    // One deployment is one tenant of the same harness, so a fleet of one
+    // reproduces the single-tenant run in every field but the label.
+    let cfg = SimConfig::with_seed(3);
+    assert_fleet_of_one_equals_solo(
+        &steady(MlModel::ResNet50, 80.0, 60),
+        || Box::new(Wants(InstanceKind::G3s_xlarge)),
+        InstanceKind::G3s_xlarge,
         10,
         &cfg,
     );
-    assert_eq!(fleet.len(), 1);
-    let f = &fleet[0];
-    assert_eq!(f.completed.len(), solo.completed.len());
-    assert!((f.slo_compliance(cfg.slo_ms) - solo.slo_compliance(cfg.slo_ms)).abs() < 0.01);
-    assert!((f.total_cost() - solo.total_cost()).abs() < 0.01);
-    assert!(f.scheme.contains("only"));
+}
+
+/// The first `secs` of the Azure trace, scaled to `model`'s paper peak.
+fn azure(model: MlModel, seed: u64, secs: u64) -> WorkloadSpec {
+    let trace = paldia_traces::azure::azure_trace(seed)
+        .scale_to_peak(Profile::peak_rps(model))
+        .slice(SimTime::ZERO, SimTime::from_secs(secs));
+    WorkloadSpec::new(model, trace)
+}
+
+#[test]
+fn retargeting_fleet_of_one_equals_solo_run() {
+    // Azure ResNet-50 at seed 7: surges upgrade past in-flight transition
+    // targets, so the fleet must apply the same retarget rule.
+    let workloads = [azure(MlModel::ResNet50, 7, 1_800)];
+    let cfg = SimConfig::with_seed(7);
+    let make = || -> Box<dyn Scheduler> { Box::new(paldia_core::PaldiaScheduler::new()) };
+    let mut sched = make();
+    let mut sink = paldia_obs::VecSink::new();
+    paldia_cluster::run_simulation_traced(
+        &workloads,
+        &mut *sched,
+        InstanceKind::G3s_xlarge,
+        Catalog::table_ii(),
+        &cfg,
+        &mut sink,
+    );
+    let retargets = sink
+        .into_events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                paldia_obs::TraceEventKind::TransitionEnded {
+                    committed: false,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert!(retargets > 0, "the scenario must retarget");
+    assert_fleet_of_one_equals_solo(&workloads, make, InstanceKind::G3s_xlarge, u32::MAX, &cfg);
+}
+
+#[test]
+fn iterative_fleet_of_one_equals_solo_run() {
+    // Fleets honour iteration-level batching (and its KV demand) exactly
+    // as single-tenant runs do, under a cold-start storm.
+    let secs = 90;
+    let workloads = [
+        azure(MlModel::Bert, 42, secs),
+        azure(MlModel::FunnelTransformer, 42, secs),
+    ];
+    let plan = FaultPlan::new()
+        .cold_start_storm(SimTime::from_secs(secs / 3))
+        .cold_start_storm(SimTime::from_secs(2 * secs / 3));
+    let cfg = SimConfig::with_seed(42)
+        .with_faults(plan, FailoverPolicyKind::default())
+        .with_iterative_batching();
+    let solo = assert_fleet_of_one_equals_solo(
+        &workloads,
+        || Box::new(paldia_core::PaldiaScheduler::new()),
+        InstanceKind::G3s_xlarge,
+        u32::MAX,
+        &cfg,
+    );
+    assert!(!solo.completed.is_empty());
 }
 
 #[test]

@@ -27,6 +27,9 @@
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions (target/serve-report.json)
 #  12. cargo test --workspace — every crate's unit/property/integration tests
+#  13. perfbench tests       — the outside-in benchmark package (its own
+#      workspace) builds against the crates' public API and its tests pass,
+#      so an API break fails CI
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,5 +79,8 @@ cargo run --release -q -p paldia-serve -- --smoke \
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> ci green"

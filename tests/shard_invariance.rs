@@ -140,3 +140,74 @@ fn pool_starvation_completes_and_matches() {
     let starved = run(&rates, 20, &cfg, 7);
     assert_eq!(baseline, starved, "7 shards on a 1-job pool diverged");
 }
+
+/// Faults × LLM iterative mode × elastic fleet, as a grid: LLM tenants
+/// under every fault kind alone and together must produce bit-identical
+/// output at shards 1, 2 and 3 — and iteration-level batching must
+/// actually be in effect (the output differs from request-level batching).
+#[test]
+fn faults_by_llm_by_elastic_fleet_grid_is_shard_invariant() {
+    let secs = 40;
+    let llm_fleet = || -> Vec<FleetDeployment> {
+        [MlModel::Bert, MlModel::FunnelTransformer, MlModel::Bert]
+            .iter()
+            .enumerate()
+            .map(|(i, &model)| FleetDeployment {
+                name: format!("llm-{i}"),
+                workloads: vec![WorkloadSpec::new(
+                    model,
+                    RateTrace::constant(
+                        4.0 + 2.0 * i as f64,
+                        SimDuration::from_secs(secs),
+                        SimDuration::from_secs(1),
+                    ),
+                )],
+                scheduler: Box::new(PaldiaScheduler::new()),
+                initial_hw: Catalog::table_ii().by_cost_ascending()[2 + i],
+            })
+            .collect()
+    };
+    let at = SimTime::from_secs;
+    let dur = SimDuration::from_secs;
+    let plans = [
+        ("clean", FaultPlan::new()),
+        ("crash", FaultPlan::new().crash(at(10), dur(8))),
+        ("degrade", FaultPlan::new().degrade(at(5), dur(20), 0.7)),
+        ("straggler", FaultPlan::new().straggler(at(0), dur(30), 3.0)),
+        ("storm", FaultPlan::new().cold_start_storm(at(12))),
+        (
+            "all",
+            FaultPlan::new()
+                .crash(at(10), dur(8))
+                .degrade(at(5), dur(20), 0.7)
+                .straggler(at(0), dur(30), 3.0)
+                .cold_start_storm(at(12))
+                .cold_start_storm(at(25)),
+        ),
+    ];
+    for (name, plan) in plans {
+        let request_level =
+            SimConfig::with_seed(9).with_faults(plan, FailoverPolicyKind::CheapestMorePerformant);
+        let cfg = request_level.clone().with_iterative_batching();
+        let run = |cfg: &SimConfig, shards: u32| {
+            fingerprint(&run_fleet_sharded(
+                llm_fleet(),
+                Catalog::table_ii(),
+                ELASTIC,
+                cfg,
+                shards,
+            ))
+        };
+        let baseline = run(&cfg, 1);
+        for shards in [2u32, 3] {
+            assert!(
+                baseline == run(&cfg, shards),
+                "LLM fleet ({name}) diverged at shards={shards}"
+            );
+        }
+        assert!(
+            baseline != run(&request_level, 1),
+            "LLM fleet ({name}) ignored iteration-level batching"
+        );
+    }
+}
