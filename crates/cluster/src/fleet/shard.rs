@@ -49,7 +49,7 @@ use paldia_sim::{pool, EventKey};
 use super::{fleet_tenants, run_serial, FleetDeployment};
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::harness::{arrival_events, sample_tenants, trace_fault_edge, Harness, Partition};
+use crate::harness::{sample_tenants, trace_fault_edge, Harness, Partition};
 use crate::result::RunResult;
 
 /// [`super::run_fleet`] with an explicit shard count.
@@ -159,7 +159,7 @@ fn drive<'a>(
         .zip(tracers)
         .map(|(size, tracer)| {
             let chunk = tenants.by_ref().take(size).collect();
-            let rail = arrival_events(arrivals.by_ref().take(size));
+            let rail = arrivals.by_ref().take(size).collect();
             let harness = Harness::new(cfg, catalog.clone(), u32::MAX, chunk, trace_end, tracer);
             // Fault edges are not seeded: the coordinator owns them.
             Mutex::new(Partition::new(harness, rail, false))

@@ -1341,25 +1341,27 @@ pub(crate) struct Partition<'a> {
 }
 
 impl<'a> Partition<'a> {
-    /// Build a partition over `arrivals` (schedule order) and seed its
+    /// Build a partition over its tenants' `arrivals` and seed its
     /// calendar; fault edges are seeded only when the partition owns them
     /// (`faults`), not when a coordinator applies them at barriers.
     pub(crate) fn new(
         mut harness: Harness<'a>,
-        arrivals: Vec<(SimTime, Ev)>,
+        arrivals: Vec<Vec<SampledArrival>>,
         faults: bool,
     ) -> Self {
+        let mut rail = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
+        rail.extend(arrival_events(arrivals));
         let mut q = EventQueue::with_capacity(1_024);
         // Rail entries own the run's smallest seqs — exactly as the serial
         // engine's up-front arrival scheduling does — so everything seeded
         // below gets the seq it gets there.
-        q.skip_seqs(arrivals.len() as u64);
+        q.skip_seqs(rail.len() as u64);
         let mut cal = PartitionCalendar::new(q);
         harness.seed_calendar(&mut cal, faults);
         Partition {
             harness,
             cal,
-            rail: Rail::from_schedule_order(arrivals),
+            rail: Rail::from_schedule_order(rail),
         }
     }
 
@@ -1451,21 +1453,20 @@ pub(crate) fn sample_tenants<'w>(
 }
 
 /// Arrival events in schedule order for tenants `0..` of a harness.
-pub(crate) fn arrival_events(
-    per_tenant: impl IntoIterator<Item = Vec<SampledArrival>>,
-) -> Vec<(SimTime, Ev)> {
-    let mut out = Vec::new();
-    for (dep, arrivals) in per_tenant.into_iter().enumerate() {
-        out.extend(arrivals.into_iter().map(|sa| {
-            let req = Request {
-                id: sa.id,
-                model: sa.model,
-                arrival: sa.at,
-            };
-            (sa.at, Ev::Arrival(dep, req))
-        }));
-    }
-    out
+fn arrival_events(per_tenant: Vec<Vec<SampledArrival>>) -> impl Iterator<Item = (SimTime, Ev)> {
+    per_tenant
+        .into_iter()
+        .enumerate()
+        .flat_map(|(dep, arrivals)| {
+            arrivals.into_iter().map(move |sa| {
+                let req = Request {
+                    id: sa.id,
+                    model: sa.model,
+                    arrival: sa.at,
+                };
+                (sa.at, Ev::Arrival(dep, req))
+            })
+        })
 }
 
 /// Run a harness to its horizon on one engine and assemble the results:
@@ -1479,7 +1480,6 @@ pub(crate) fn run_harness(
     partitioned: bool,
 ) -> (Vec<RunResult>, u64) {
     let horizon = harness.trace_end + harness.cfg.drain_grace;
-    let arrivals = arrival_events(arrivals);
     let (harness, events) = if partitioned {
         let mut part = Partition::new(harness, arrivals, true);
         let events = part.run_to(EventKey::new(horizon, 0));
@@ -1487,8 +1487,9 @@ pub(crate) fn run_harness(
     } else {
         // Reserve the heap's high-water mark up front: arrivals dominate
         // it; 9/8 covers in-flight events.
-        let mut q: EventQueue<Ev> = EventQueue::with_capacity(arrivals.len() * 9 / 8 + 64);
-        for (at, ev) in arrivals {
+        let n: usize = arrivals.iter().map(Vec::len).sum();
+        let mut q: EventQueue<Ev> = EventQueue::with_capacity(n * 9 / 8 + 64);
+        for (at, ev) in arrival_events(arrivals) {
             q.schedule(at, ev);
         }
         harness.seed_calendar(&mut q, true);
