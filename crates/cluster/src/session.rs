@@ -36,7 +36,7 @@
 use crate::config::SimConfig;
 use crate::harness::{Ev, Harness, SampledArrival, Tenant};
 use crate::policy::Scheduler;
-use crate::request::{CompletedRequest, Request, RequestId};
+use crate::request::{CompletedRequest, RequestId};
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceSink, Tracer};
@@ -184,18 +184,7 @@ impl<'a> SimSession<'a> {
             sa.seq,
             self.reserved
         );
-        self.q.schedule_reserved(
-            sa.at,
-            sa.seq,
-            Ev::Arrival(
-                0,
-                Request {
-                    id: sa.id,
-                    model: sa.model,
-                    arrival: sa.at,
-                },
-            ),
-        );
+        self.q.schedule_reserved(sa.at, sa.seq, Ev::arrival(0, sa));
     }
 
     /// Inject a live arrival at `at` (clamped to the session's "now") and
@@ -205,17 +194,12 @@ impl<'a> SimSession<'a> {
         let at = at.max(self.q.floor());
         self.next_live_id += 1;
         let id = RequestId(self.reserved + self.next_live_id);
-        self.q.schedule(
-            at,
-            Ev::Arrival(
-                0,
-                Request {
-                    id,
-                    model,
-                    arrival: at,
-                },
-            ),
-        );
+        let ev = Ev::Arrival {
+            tenant: 0,
+            id,
+            model,
+        };
+        self.q.schedule(at, ev);
         id
     }
 
