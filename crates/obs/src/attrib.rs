@@ -31,7 +31,7 @@
 //!
 //! The differential test `tests/trace_attribution.rs` holds the resulting
 //! tail breakdown against `paldia_metrics::TailBreakdown` (same cohort
-//! rule) on the Fig. 4 scenario for both harnesses.
+//! rule) on the Fig. 4 scenario, single-tenant and as a fleet.
 //!
 //! ## Iteration-level (continuous-batching) requests
 //!

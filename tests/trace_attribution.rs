@@ -3,7 +3,7 @@
 //! and `paldia_metrics::TailBreakdown` (computed from the harness's
 //! `CompletedRequest` records) are two independent derivations of the
 //! Fig. 4 breakdown — on the same run they must agree per component within
-//! a fixed tolerance, for the single-tenant harness AND the fleet.
+//! a fixed tolerance, for single-tenant runs AND fleets.
 //!
 //! Also here: the `--triage` golden-shape test on a seeded cold-start
 //! storm, the span-coverage regression (every request phase has an
