@@ -111,17 +111,6 @@ pub(crate) enum Ev {
     },
 }
 
-impl Ev {
-    /// The arrival event of a sampled arrival at tenant `dep`.
-    pub(crate) fn arrival(dep: usize, sa: &SampledArrival) -> Self {
-        Ev::Arrival {
-            tenant: dep as u32,
-            id: sa.id,
-            model: sa.model,
-        }
-    }
-}
-
 impl WakeEvent for Ev {
     fn make_wake(worker: u32, version: u64) -> Self {
         Ev::DeviceWake {
@@ -1367,11 +1356,7 @@ impl<'a> Partition<'a> {
     /// Build a partition over its tenants' `arrivals` and seed its
     /// calendar; fault edges are seeded only when the partition owns them
     /// (`faults`), not when a coordinator applies them at barriers.
-    pub(crate) fn new(
-        mut harness: Harness<'a>,
-        arrivals: Vec<Vec<SampledArrival>>,
-        faults: bool,
-    ) -> Self {
+    pub(crate) fn new(mut harness: Harness<'a>, arrivals: Vec<Vec<Request>>, faults: bool) -> Self {
         let mut rail = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
         rail.extend(arrival_events(arrivals));
         let mut q = EventQueue::with_capacity(1_024);
@@ -1427,63 +1412,99 @@ pub struct SampledArrival {
 }
 
 /// Sample every arrival for `workloads` under `seed`, exactly as the batch
-/// entry points do (tenant 0 of the fleet sampler, whose fork key
-/// `(tenant << 8) | (model index + 1)` reduces to `model index + 1`). This
-/// is the single copy of the sampling discipline — [`run_simulation`] consumes it
-/// directly and `crate::replay` records it to disk — so a recorded trace
-/// can never drift from what the simulator would have sampled.
+/// entry points do (as tenant 0 of a fleet, whose fork key
+/// `(tenant << 8) | (model index + 1)` reduces to `model index + 1`).
+/// This is the single copy of the sampling discipline — [`run_simulation`]
+/// consumes it directly and `crate::replay` records it to disk — so a
+/// recorded trace can never drift from what the simulator would have
+/// sampled.
 ///
 /// Returns the arrivals and the trace end (max workload duration).
 pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    let (mut per_tenant, trace_end) = sample_tenants([workloads], seed);
-    (per_tenant.pop().unwrap_or_default(), trace_end)
+    let mut sampler = Sampler::new(seed);
+    let mut out = Vec::new();
+    sampler.tenant(0, workloads, |r| {
+        out.push(SampledArrival {
+            seq: r.id.0 - 1,
+            id: r.id,
+            at: r.arrival,
+            model: r.model,
+        })
+    });
+    (out, sampler.trace_end)
 }
 
-/// Sample every tenant's arrivals under `seed`: one fork of the root RNG
-/// per `(tenant, workload)`, keyed `(tenant << 8) | (model index + 1)`,
-/// arrivals concatenated tenant-major then workload (model-major) order;
-/// request ids and seqs count across all tenants. Arrival generation is
-/// inherently serial — [`SimRng::fork`] consumes entropy from the parent
-/// stream — so every engine samples here, before distributing work.
-///
-/// Returns per-tenant arrivals and the trace end (max workload duration).
+/// Sample every tenant's arrivals under `seed`, tenant-major (see
+/// [`Sampler`]). Returns per-tenant arrivals and the trace end (max
+/// workload duration).
 pub(crate) fn sample_tenants<'w>(
     tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>,
     seed: u64,
-) -> (Vec<Vec<SampledArrival>>, SimTime) {
-    let mut rng = SimRng::new(seed);
+) -> (Vec<Vec<Request>>, SimTime) {
+    let mut sampler = Sampler::new(seed);
     let mut out = Vec::new();
-    let mut trace_end = SimTime::ZERO;
-    let mut seq = 0u64;
     for (dep, workloads) in tenants.into_iter().enumerate() {
         let mut arrivals = Vec::new();
-        for spec in workloads {
-            let mut model_rng = rng.fork(((dep as u64) << 8) | (spec.model.index() as u64 + 1));
-            trace_end = trace_end.max(SimTime::ZERO + spec.trace.duration());
-            for at in generate_arrivals(&spec.trace, &mut model_rng) {
-                arrivals.push(SampledArrival {
-                    seq,
-                    id: RequestId(seq + 1),
-                    at,
-                    model: spec.model,
-                });
-                seq += 1;
-            }
-        }
+        sampler.tenant(dep, workloads, |r| arrivals.push(r));
         out.push(arrivals);
     }
-    (out, trace_end)
+    (out, sampler.trace_end)
+}
+
+/// The arrival sampler: one fork of the root RNG per `(tenant, workload)`,
+/// keyed `(tenant << 8) | (model index + 1)`, arrivals generated
+/// tenant-major then in workload (model-major) order; request ids count
+/// from 1 across all tenants, so an arrival's calendar seq is its id − 1.
+/// Arrival generation is inherently serial — [`SimRng::fork`] consumes
+/// entropy from the parent stream — so every engine samples here, before
+/// distributing work.
+struct Sampler {
+    rng: SimRng,
+    next_id: u64,
+    trace_end: SimTime,
+}
+
+impl Sampler {
+    fn new(seed: u64) -> Self {
+        Sampler {
+            rng: SimRng::new(seed),
+            next_id: 1,
+            trace_end: SimTime::ZERO,
+        }
+    }
+
+    /// Sample tenant `dep`'s arrivals (tenants must come in order).
+    fn tenant(&mut self, dep: usize, workloads: &[WorkloadSpec], mut push: impl FnMut(Request)) {
+        for spec in workloads {
+            let key = ((dep as u64) << 8) | (spec.model.index() as u64 + 1);
+            let mut model_rng = self.rng.fork(key);
+            self.trace_end = self.trace_end.max(SimTime::ZERO + spec.trace.duration());
+            for at in generate_arrivals(&spec.trace, &mut model_rng) {
+                push(Request {
+                    id: RequestId(self.next_id),
+                    model: spec.model,
+                    arrival: at,
+                });
+                self.next_id += 1;
+            }
+        }
+    }
 }
 
 /// Arrival events in schedule order for tenants `0..` of a harness.
-fn arrival_events(per_tenant: Vec<Vec<SampledArrival>>) -> impl Iterator<Item = (SimTime, Ev)> {
+fn arrival_events(per_tenant: Vec<Vec<Request>>) -> impl Iterator<Item = (SimTime, Ev)> {
     per_tenant
         .into_iter()
         .enumerate()
         .flat_map(|(dep, arrivals)| {
-            arrivals
-                .into_iter()
-                .map(move |sa| (sa.at, Ev::arrival(dep, &sa)))
+            arrivals.into_iter().map(move |r| {
+                let ev = Ev::Arrival {
+                    tenant: dep as u32,
+                    id: r.id,
+                    model: r.model,
+                };
+                (r.arrival, ev)
+            })
         })
 }
 
@@ -1494,7 +1515,7 @@ fn arrival_events(per_tenant: Vec<Vec<SampledArrival>>) -> impl Iterator<Item = 
 /// arrivals, so every output byte matches between them.
 pub(crate) fn run_harness(
     mut harness: Harness<'_>,
-    arrivals: Vec<Vec<SampledArrival>>,
+    arrivals: Vec<Vec<Request>>,
     partitioned: bool,
 ) -> (Vec<RunResult>, u64) {
     let horizon = harness.trace_end + harness.cfg.drain_grace;

@@ -184,7 +184,12 @@ impl<'a> SimSession<'a> {
             sa.seq,
             self.reserved
         );
-        self.q.schedule_reserved(sa.at, sa.seq, Ev::arrival(0, sa));
+        let ev = Ev::Arrival {
+            tenant: 0,
+            id: sa.id,
+            model: sa.model,
+        };
+        self.q.schedule_reserved(sa.at, sa.seq, ev);
     }
 
     /// Inject a live arrival at `at` (clamped to the session's "now") and
