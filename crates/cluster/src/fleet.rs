@@ -20,7 +20,7 @@
 //! live workers.
 
 use crate::config::SimConfig;
-use crate::harness::{run_harness, sample_tenants, Harness, Tenant, WorkloadSpec};
+use crate::harness::{run_harness, trace_end, Harness, Tenant, WorkloadSpec};
 use crate::policy::Scheduler;
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
@@ -80,25 +80,40 @@ pub fn run_fleet_traced(
     .0
 }
 
-/// The fleet's tenants, borrowing each deployment's scheduler; tenant `i`
-/// has global index `i`. Traced runs record decision events.
+/// The fleet's tenants, borrowing each deployment's scheduler, and each
+/// tenant's workloads; tenant `i` has global index `i`. Traced runs record
+/// decision events.
 pub(crate) fn fleet_tenants<'a>(
     deployments: &'a mut [FleetDeployment],
     cfg: &SimConfig,
     traced: bool,
-) -> Vec<Tenant<'a>> {
-    deployments
-        .iter_mut()
-        .enumerate()
-        .map(|(i, d)| {
-            if traced {
-                d.scheduler.set_decision_recording(true);
-            }
-            let models = d.workloads.iter().map(|s| s.model).collect();
-            let label = Some(d.name.clone());
-            Tenant::new(&mut *d.scheduler, models, d.initial_hw, i, label, cfg)
-        })
-        .collect()
+) -> (Vec<Tenant<'a>>, Vec<&'a [WorkloadSpec]>) {
+    let mut tenants = Vec::with_capacity(deployments.len());
+    let mut workloads = Vec::with_capacity(deployments.len());
+    for (i, d) in deployments.iter_mut().enumerate() {
+        let FleetDeployment {
+            name,
+            workloads: specs,
+            scheduler,
+            initial_hw,
+        } = d;
+        if traced {
+            scheduler.set_decision_recording(true);
+        }
+        let specs: &'a Vec<WorkloadSpec> = specs;
+        let models = specs.iter().map(|s| s.model).collect();
+        let label = Some(name.clone());
+        tenants.push(Tenant::new(
+            &mut **scheduler,
+            models,
+            *initial_hw,
+            i,
+            label,
+            cfg,
+        ));
+        workloads.push(specs.as_slice());
+    }
+    (tenants, workloads)
 }
 
 /// Every tenant in one harness on the serial engine; returns the results
@@ -110,9 +125,8 @@ pub(crate) fn run_serial<'a>(
     cfg: &'a SimConfig,
     tracer: Tracer<'a>,
 ) -> (Vec<RunResult>, u64) {
-    let workloads = deployments.iter().map(|d| d.workloads.as_slice());
-    let (arrivals, trace_end) = sample_tenants(workloads, cfg.seed);
-    let tenants = fleet_tenants(deployments, cfg, tracer.enabled());
-    let harness = Harness::new(cfg, catalog, units_per_kind, tenants, trace_end, tracer);
-    run_harness(harness, arrivals, false)
+    let (tenants, workloads) = fleet_tenants(deployments, cfg, tracer.enabled());
+    let end = trace_end(workloads.iter().copied());
+    let harness = Harness::new(cfg, catalog, units_per_kind, tenants, end, tracer);
+    run_harness(harness, &workloads, false)
 }

@@ -49,7 +49,7 @@ use paldia_sim::{pool, EventKey};
 use super::{fleet_tenants, run_serial, FleetDeployment};
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::harness::{sample_tenants, trace_fault_edge, Harness, Partition};
+use crate::harness::{trace_end, trace_fault_edge, Harness, Partition, Sampler};
 use crate::result::RunResult;
 
 /// [`super::run_fleet`] with an explicit shard count.
@@ -149,20 +149,23 @@ fn drive<'a>(
     tracers: Vec<Tracer<'a>>,
     mut coord: Tracer<'a>,
 ) -> (Vec<RunResult>, u64) {
-    let workloads = deployments.iter().map(|d| d.workloads.as_slice());
-    let (arrivals, trace_end) = sample_tenants(workloads, cfg.seed);
+    let (tenants, workloads) = fleet_tenants(deployments, cfg, coord.enabled());
+    let trace_end = trace_end(workloads.iter().copied());
     let horizon = trace_end + cfg.drain_grace;
-    let n = deployments.len();
-    let mut tenants = fleet_tenants(deployments, cfg, coord.enabled()).into_iter();
-    let mut arrivals = arrivals.into_iter();
+    let n = workloads.len();
+    let mut tenants = tenants.into_iter();
+    let mut sampler = Sampler::new(cfg.seed);
+    let mut base = 0;
     let shards: Vec<Mutex<Partition<'a>>> = chunk_sizes(n, tracers.len())
         .zip(tracers)
         .map(|(size, tracer)| {
             let chunk = tenants.by_ref().take(size).collect();
-            let rail = arrivals.by_ref().take(size).collect();
             let harness = Harness::new(cfg, catalog.clone(), u32::MAX, chunk, trace_end, tracer);
+            let own = &workloads[base..base + size];
             // Fault edges are not seeded: the coordinator owns them.
-            Mutex::new(Partition::new(harness, rail, false))
+            let part = Partition::new(harness, &mut sampler, base, own, false);
+            base += size;
+            Mutex::new(part)
         })
         .collect();
     let faults = cfg.faults.compile(horizon);

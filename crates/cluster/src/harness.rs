@@ -1353,12 +1353,20 @@ pub(crate) struct Partition<'a> {
 }
 
 impl<'a> Partition<'a> {
-    /// Build a partition over its tenants' `arrivals` and seed its
-    /// calendar; fault edges are seeded only when the partition owns them
-    /// (`faults`), not when a coordinator applies them at barriers.
-    pub(crate) fn new(mut harness: Harness<'a>, arrivals: Vec<Vec<Request>>, faults: bool) -> Self {
-        let mut rail = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
-        rail.extend(arrival_events(arrivals));
+    /// Build a partition over the harness's tenants — global indices
+    /// `base..`, whose workloads are `workloads` — sampling their arrivals
+    /// onto the rail from `sampler`, and seed its calendar; fault edges are
+    /// seeded only when the partition owns them (`faults`), not when a
+    /// coordinator applies them at barriers.
+    pub(crate) fn new(
+        mut harness: Harness<'a>,
+        sampler: &mut Sampler,
+        base: usize,
+        workloads: &[&[WorkloadSpec]],
+        faults: bool,
+    ) -> Self {
+        let mut rail = Vec::with_capacity(arrival_capacity(workloads));
+        sampler.arrival_events(base, workloads, |at, ev| rail.push((at, ev)));
         let mut q = EventQueue::with_capacity(1_024);
         // Rail entries own the run's smallest seqs — exactly as the serial
         // engine's up-front arrival scheduling does — so everything seeded
@@ -1421,9 +1429,8 @@ pub struct SampledArrival {
 ///
 /// Returns the arrivals and the trace end (max workload duration).
 pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    let mut sampler = Sampler::new(seed);
     let mut out = Vec::new();
-    sampler.tenant(0, workloads, |r| {
+    Sampler::new(seed).tenant(0, workloads, |r| {
         out.push(SampledArrival {
             seq: r.id.0 - 1,
             id: r.id,
@@ -1431,24 +1438,25 @@ pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArr
             model: r.model,
         })
     });
-    (out, sampler.trace_end)
+    (out, trace_end([workloads]))
 }
 
-/// Sample every tenant's arrivals under `seed`, tenant-major (see
-/// [`Sampler`]). Returns per-tenant arrivals and the trace end (max
-/// workload duration).
-pub(crate) fn sample_tenants<'w>(
-    tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>,
-    seed: u64,
-) -> (Vec<Vec<Request>>, SimTime) {
-    let mut sampler = Sampler::new(seed);
-    let mut out = Vec::new();
-    for (dep, workloads) in tenants.into_iter().enumerate() {
-        let mut arrivals = Vec::new();
-        sampler.tenant(dep, workloads, |r| arrivals.push(r));
-        out.push(arrivals);
-    }
-    (out, sampler.trace_end)
+/// End of the arrival timeline: the longest workload trace of any tenant.
+pub(crate) fn trace_end<'w>(tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>) -> SimTime {
+    (tenants.into_iter().flatten())
+        .map(|spec| SimTime::ZERO + spec.trace.duration())
+        .max()
+        .unwrap_or(SimTime::ZERO)
+}
+
+/// Capacity for the arrivals the traces of `workloads` expect, with 9/8
+/// headroom for sampling variance (and, on the serial heap, in-flight
+/// events): sizes heaps and rails up front.
+fn arrival_capacity(workloads: &[&[WorkloadSpec]]) -> usize {
+    let expected: f64 = (workloads.iter().copied().flatten())
+        .map(|spec| spec.trace.expected_requests())
+        .sum();
+    (expected * 1.125) as usize + 64
 }
 
 /// The arrival sampler: one fork of the root RNG per `(tenant, workload)`,
@@ -1456,20 +1464,18 @@ pub(crate) fn sample_tenants<'w>(
 /// tenant-major then in workload (model-major) order; request ids count
 /// from 1 across all tenants, so an arrival's calendar seq is its id − 1.
 /// Arrival generation is inherently serial — [`SimRng::fork`] consumes
-/// entropy from the parent stream — so every engine samples here, before
-/// distributing work.
-struct Sampler {
+/// entropy from the parent stream — so every engine samples its tenants
+/// in order through one sampler, straight into its heap or rails.
+pub(crate) struct Sampler {
     rng: SimRng,
     next_id: u64,
-    trace_end: SimTime,
 }
 
 impl Sampler {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Sampler {
             rng: SimRng::new(seed),
             next_id: 1,
-            trace_end: SimTime::ZERO,
         }
     }
 
@@ -1478,7 +1484,6 @@ impl Sampler {
         for spec in workloads {
             let key = ((dep as u64) << 8) | (spec.model.index() as u64 + 1);
             let mut model_rng = self.rng.fork(key);
-            self.trace_end = self.trace_end.max(SimTime::ZERO + spec.trace.duration());
             for at in generate_arrivals(&spec.trace, &mut model_rng) {
                 push(Request {
                     id: RequestId(self.next_id),
@@ -1489,48 +1494,50 @@ impl Sampler {
             }
         }
     }
-}
 
-/// Arrival events in schedule order for tenants `0..` of a harness.
-fn arrival_events(per_tenant: Vec<Vec<Request>>) -> impl Iterator<Item = (SimTime, Ev)> {
-    per_tenant
-        .into_iter()
-        .enumerate()
-        .flat_map(|(dep, arrivals)| {
-            arrivals.into_iter().map(move |r| {
+    /// Sample tenants `base..` (global indices; `workloads[i]` belongs to
+    /// tenant `base + i`) as arrival events, in schedule order, for a
+    /// harness holding exactly those tenants.
+    fn arrival_events(
+        &mut self,
+        base: usize,
+        workloads: &[&[WorkloadSpec]],
+        mut push: impl FnMut(SimTime, Ev),
+    ) {
+        for (local, w) in workloads.iter().enumerate() {
+            self.tenant(base + local, w, |r| {
                 let ev = Ev::Arrival {
-                    tenant: dep as u32,
+                    tenant: local as u32,
                     id: r.id,
                     model: r.model,
                 };
-                (r.arrival, ev)
-            })
-        })
+                push(r.arrival, ev)
+            });
+        }
+    }
 }
 
 /// Run a harness to its horizon on one engine and assemble the results:
 /// the serial engine ([`run_until`]) with every arrival scheduled up
 /// front, or one partition of the partitioned engine ([`run_partition`])
 /// with arrivals on the rail. Both seed the calendar identically after the
-/// arrivals, so every output byte matches between them.
+/// arrivals, so every output byte matches between them. `workloads[i]`
+/// are tenant `i`'s workloads.
 pub(crate) fn run_harness(
     mut harness: Harness<'_>,
-    arrivals: Vec<Vec<Request>>,
+    workloads: &[&[WorkloadSpec]],
     partitioned: bool,
 ) -> (Vec<RunResult>, u64) {
     let horizon = harness.trace_end + harness.cfg.drain_grace;
+    let mut sampler = Sampler::new(harness.cfg.seed);
     let (harness, events) = if partitioned {
-        let mut part = Partition::new(harness, arrivals, true);
+        let mut part = Partition::new(harness, &mut sampler, 0, workloads, true);
         let events = part.run_to(EventKey::new(horizon, 0));
         (part.harness, events)
     } else {
-        // Reserve the heap's high-water mark up front: arrivals dominate
-        // it; 9/8 covers in-flight events.
-        let n: usize = arrivals.iter().map(Vec::len).sum();
-        let mut q: EventQueue<Ev> = EventQueue::with_capacity(n * 9 / 8 + 64);
-        for (at, ev) in arrival_events(arrivals) {
-            q.schedule(at, ev);
-        }
+        // Reserve the heap's high-water mark up front: arrivals dominate it.
+        let mut q: EventQueue<Ev> = EventQueue::with_capacity(arrival_capacity(workloads));
+        sampler.arrival_events(0, workloads, |at, ev| q.schedule(at, ev));
         harness.seed_calendar(&mut q, true);
         let events = run_until(&mut harness, &mut q, horizon).events();
         (harness, events)
@@ -1640,11 +1647,11 @@ fn run_simulation_impl<'a>(
     tracer: Tracer<'a>,
     shards: u32,
 ) -> RunResult {
-    let (arrivals, trace_end) = sample_tenants([workloads], cfg.seed);
     let models = workloads.iter().map(|s| s.model).collect();
     let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
-    let harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], trace_end, tracer);
-    let (mut results, _) = run_harness(harness, arrivals, shards >= 2);
+    let end = trace_end([workloads]);
+    let harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], end, tracer);
+    let (mut results, _) = run_harness(harness, &[workloads], shards >= 2);
     results.pop().expect("invariant: one tenant, one result")
 }
 
