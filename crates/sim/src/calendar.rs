@@ -1,15 +1,17 @@
 //! The partitioned calendar: the per-partition event sources of the
-//! sharded execution mode, plus the merged run loop that drives them.
+//! partition engine, plus the merged run loop that drives them.
 //!
 //! The serial engine keeps every future event in one binary heap
 //! ([`EventQueue`]). That is simple and exactly ordered, but for
 //! trace-driven runs the heap is dominated by two event classes with much
 //! cheaper natural representations:
 //!
-//! * **Arrivals** are pre-sampled in full before the run starts. Scheduling
-//!   half a million of them leaves a huge resident heap that every other
-//!   push/pop must sift through. A [`Rail`] stores them pre-sorted and pops
-//!   them by cursor in O(1).
+//! * **Arrivals** follow a trace known before the run starts. Scheduling
+//!   every one of them up front leaves a huge resident heap that every
+//!   other push/pop must sift through. An [`ArrivalFeed`] keeps them off the
+//!   heap: a [`Rail`] stores them pre-sorted and pops them by cursor in
+//!   O(1), and a streaming feed samples them while the run consumes them,
+//!   so none is held before it is due.
 //! * **Device wake-ups** are mostly stale: every occupancy change re-arms
 //!   the wake for a worker's next predicted completion and bumps a version,
 //!   so the heap fills with superseded wakes that pop as no-ops. A
@@ -22,17 +24,18 @@
 //! engine would perform still consumes a sequence number here
 //! ([`EventQueue::skip_seq`]), whether or not an entry lands in the heap,
 //! so surviving heap events carry identical keys in both modes and every
-//! same-instant tie breaks the same way. Rail entries occupy the first
-//! sequence numbers of the run (arrivals are scheduled before anything
-//! else), so the rail wins every equal-time comparison without storing a
-//! sequence per entry.
+//! same-instant tie breaks the same way. Arrival-feed entries occupy the
+//! first sequence numbers of the run (arrivals are scheduled before
+//! anything else), so the feed wins every equal-time comparison without
+//! storing a sequence per entry.
 //!
 //! Dropping superseded wakes is safe because a wake whose version no longer
 //! matches its device is an observable no-op in the serial engine (the
 //! handler returns before any effect), and a re-armed wake for an
 //! *unchanged* version predicts the same completion instant — the earlier
 //! of the two entries does the work in both modes (the register keeps it;
-//! see [`PartitionCalendar::arm_wake`]).
+//! see [`PartitionCalendar::arm_wake`]). It also means the partition engine
+//! dispatches fewer events than the serial engine for the same run.
 
 use crate::engine::{RunOutcome, World};
 use crate::event::{EventKey, EventQueue};
@@ -73,6 +76,19 @@ impl<E: WakeEvent> Calendar<E> for EventQueue<E> {
     fn arm_wake(&mut self, worker: u32, at: SimTime, version: u64) {
         EventQueue::schedule(self, at, E::make_wake(worker, version));
     }
+}
+
+/// A time-ordered source of arrivals for [`run_partition`]: entries pop
+/// earliest first, FIFO within an instant, and own the run's smallest
+/// sequence numbers — the caller consumed one per entry via
+/// [`EventQueue::skip_seqs`] before scheduling anything else — so they
+/// order before every heap event and wake at equal times.
+pub trait ArrivalFeed<E> {
+    /// Firing time of the earliest pending entry.
+    fn peek_time(&mut self) -> Option<SimTime>;
+
+    /// Remove and return the earliest entry.
+    fn pop(&mut self) -> Option<(SimTime, E)>;
 }
 
 /// The pre-sorted arrival rail: events known in full before the run starts,
@@ -118,11 +134,21 @@ impl<E> Rail<E> {
     }
 }
 
+impl<E> ArrivalFeed<E> for Rail<E> {
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.items.last().map(|&(t, _)| t)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.items.pop()
+    }
+}
+
 /// One armed wake register: ordering key plus device version.
 type WakeSlot = (EventKey, u64);
 
 /// The partitioned calendar: a (small) heap for ordinary events plus the
-/// per-worker wake registers. Arrivals live outside in a [`Rail`].
+/// per-worker wake registers. Arrivals live outside in an [`ArrivalFeed`].
 pub struct PartitionCalendar<E> {
     q: EventQueue<E>,
     /// Live wake per worker id; absent when nothing is armed. Keyed
@@ -177,6 +203,35 @@ impl<E> PartitionCalendar<E> {
         self.slots.remove(&worker);
         Some((k, worker, version))
     }
+
+    /// Key of the earliest pending event: a heap event or a live wake.
+    /// Takes `&mut self` because superseded wake index entries are
+    /// discarded on the way.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
+        let wake = self.peek_wake();
+        match (self.q.peek_key(), wake) {
+            (Some(heap), Some(wake)) => Some(heap.min(wake)),
+            (heap, wake) => heap.or(wake),
+        }
+    }
+
+    /// Remove and return the earliest pending event (see
+    /// [`Self::peek_key`]), materializing a wake as its event. Advances
+    /// the clamp floor to the event's time either way.
+    pub fn pop(&mut self) -> Option<(SimTime, E)>
+    where
+        E: WakeEvent,
+    {
+        let wake = self.peek_wake();
+        match self.q.peek_key() {
+            Some(heap) if wake.is_none_or(|w| heap < w) => self.q.pop(),
+            _ => {
+                let (key, worker, version) = self.pop_wake()?;
+                self.q.advance_floor(key.time());
+                Some((key.time(), E::make_wake(worker, version)))
+            }
+        }
+    }
 }
 
 impl<E: WakeEvent> Calendar<E> for PartitionCalendar<E> {
@@ -208,53 +263,50 @@ impl<E: WakeEvent> Calendar<E> for PartitionCalendar<E> {
     }
 }
 
-/// A [`World`] that can also run on the partitioned calendar. Implementors
-/// route both entry points through one generic handler over [`Calendar`],
-/// so the domain logic exists exactly once.
-pub trait PartitionWorld: World {
+/// Domain logic the partition engine drives. `E` is the event alphabet;
+/// it defaults to the [`World`] alphabet, so a world that runs on both
+/// engines names it once. Implementors route every engine's entry point
+/// through one handler generic over [`Calendar`], so the domain logic
+/// exists exactly once.
+pub trait PartitionWorld<E = <Self as World>::Event> {
     /// Process one event, scheduling follow-ups on the partitioned
     /// calendar.
-    fn handle_part(
-        &mut self,
-        now: SimTime,
-        ev: Self::Event,
-        cal: &mut PartitionCalendar<Self::Event>,
-    );
+    fn handle_part(&mut self, now: SimTime, ev: E, cal: &mut PartitionCalendar<E>);
 }
 
 /// Run one partition until `bound` (exclusive, a full `(time, seq)` key) or
-/// until every source drains. Dispatches rail entries, heap events, and
-/// live wakes in exact global `(time, seq)` order; superseded wakes are
-/// never dispatched.
+/// until every source drains. Dispatches arrival-feed entries, heap
+/// events, and live wakes in exact global `(time, seq)` order; superseded
+/// wakes are never dispatched.
 ///
 /// Bounding on a key rather than a time lets the fleet coordinator stop a
 /// partition *between* two same-instant events — everything ordered before
 /// a cross-partition fault edge runs, everything after waits for the
 /// barrier. For a plain horizon, pass `EventKey::new(horizon, 0)`
 /// (exclusive, like [`crate::engine::run_until`]); the loop is resumable.
-pub fn run_partition<W>(
+pub fn run_partition<E, W, A>(
     world: &mut W,
-    cal: &mut PartitionCalendar<W::Event>,
-    rail: &mut Rail<W::Event>,
+    cal: &mut PartitionCalendar<E>,
+    arrivals: &mut A,
     bound: EventKey,
     budget: u64,
 ) -> RunOutcome
 where
-    W: PartitionWorld,
-    W::Event: WakeEvent,
+    E: WakeEvent,
+    W: PartitionWorld<E>,
+    A: ArrivalFeed<E>,
 {
     let mut events: u64 = 0;
     let mut last_event = SimTime::ZERO;
     loop {
-        // The rail holds the run's smallest seqs: a proxy seq of 0 orders
+        // The feed holds the run's smallest seqs: a proxy seq of 0 orders
         // it before any heap/wake key at the same instant. (Heap seqs are
-        // strictly positive whenever the rail is non-empty, because the
-        // rail consumed seqs first.)
-        let rail_key = rail.peek_time().map(|t| EventKey::new(t, 0));
-        let heap_key = cal.q.peek_key();
-        let wake_key = cal.peek_wake();
+        // strictly positive whenever the feed is non-empty, because the
+        // feed consumed seqs first.)
+        let feed_key = arrivals.peek_time().map(|t| EventKey::new(t, 0));
+        let cal_key = cal.peek_key();
 
-        let Some(next) = [rail_key, heap_key, wake_key].into_iter().flatten().min() else {
+        let Some(next) = feed_key.into_iter().chain(cal_key).min() else {
             return RunOutcome::Drained { last_event, events };
         };
         if next >= bound {
@@ -270,29 +322,17 @@ where
             };
         }
 
-        if rail_key == Some(next) {
-            let (now, ev) = rail.pop().expect("invariant: peeked rail entry exists");
+        let (now, ev) = if feed_key == Some(next) {
+            let (now, ev) = arrivals.pop().expect("invariant: peeked feed entry exists");
             cal.q.advance_floor(now);
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, ev, cal);
-        } else if heap_key == Some(next) {
-            let (now, ev) = cal.q.pop().expect("invariant: peeked heap entry exists");
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, ev, cal);
+            (now, ev)
         } else {
-            let (key, worker, version) =
-                cal.pop_wake().expect("invariant: peeked wake entry exists");
-            let now = key.time();
-            cal.q.advance_floor(now);
-            debug_assert!(now >= last_event, "time went backwards");
-            last_event = now;
-            events += 1;
-            world.handle_part(now, W::Event::make_wake(worker, version), cal);
-        }
+            cal.pop().expect("invariant: peeked calendar entry exists")
+        };
+        debug_assert!(now >= last_event, "time went backwards");
+        last_event = now;
+        events += 1;
+        world.handle_part(now, ev, cal);
     }
 }
 
@@ -418,6 +458,38 @@ mod tests {
             u64::MAX,
         );
         w.log
+    }
+
+    /// The session pattern: no feed; arrivals go onto the heap under the
+    /// seqs reserved for them, and the caller steps the calendar itself.
+    fn run_stepped(horizon: SimTime) -> Vec<(u64, &'static str, u32, u64)> {
+        let mut w = Mini::new(3);
+        let mut q = EventQueue::new();
+        let items = arrivals();
+        q.skip_seqs(items.len() as u64);
+        q.schedule(SimTime::from_micros(5), Ev::Tick(40));
+        let mut cal = PartitionCalendar::new(q);
+        for (seq, (t, ev)) in items.into_iter().enumerate() {
+            cal.queue_mut().schedule_reserved(t, seq as u64, ev);
+        }
+        while let Some(key) = cal.peek_key() {
+            if key.time() >= horizon {
+                break;
+            }
+            let (now, ev) = cal.pop().unwrap();
+            assert_eq!(now, key.time());
+            assert_eq!(cal.queue().floor(), now);
+            w.on_event(now, ev, &mut cal);
+        }
+        w.log
+    }
+
+    #[test]
+    fn stepping_the_calendar_is_bit_identical_to_serial() {
+        let horizon = SimTime::from_secs(10);
+        assert_eq!(run_serial(horizon), run_stepped(horizon));
+        let horizon = SimTime::from_micros(300);
+        assert_eq!(run_serial(horizon), run_stepped(horizon));
     }
 
     #[test]

@@ -139,8 +139,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Consume `n` sequence numbers at once (see [`Self::skip_seq`]); used
-    /// when a whole block of schedules — e.g. every pre-sampled arrival —
-    /// is diverted out of the heap in one step.
+    /// when a whole block of schedules — e.g. every arrival of a run,
+    /// served from an arrival feed instead — is diverted out of the heap
+    /// in one step.
     pub fn skip_seqs(&mut self, n: u64) {
         self.next_seq += n;
         self.scheduled_total += n;

@@ -50,7 +50,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{run_partition, Calendar, PartitionCalendar, PartitionWorld, Rail, WakeEvent};
+pub use calendar::{
+    run_partition, ArrivalFeed, Calendar, PartitionCalendar, PartitionWorld, Rail, WakeEvent,
+};
 pub use clock::{Clock, VirtualClock};
 pub use engine::{run_to_completion, run_until, RunOutcome, World};
 pub use event::{EventKey, EventQueue};
