@@ -18,6 +18,11 @@
 //! [`crate::faults::FailoverPolicy`] replacement under the shared
 //! inventory; degradation, straggler, and cold-start-storm windows hit all
 //! live workers.
+//!
+//! Every fleet runs on the partition engine. A fleet over finite inventory
+//! couples its tenants at every lease and release, so it runs as one
+//! partition ([`run_fleet`]); an elastic fleet may also split its tenants
+//! across shards ([`shard::run_fleet_sharded`]).
 
 use crate::config::SimConfig;
 use crate::harness::{run_harness, trace_end, Harness, Tenant, WorkloadSpec};
@@ -49,7 +54,7 @@ pub fn run_fleet(
     units_per_kind: u32,
     cfg: &SimConfig,
 ) -> Vec<RunResult> {
-    run_serial(
+    run_unsharded(
         &mut deployments,
         catalog,
         units_per_kind,
@@ -70,7 +75,7 @@ pub fn run_fleet_traced(
     cfg: &SimConfig,
     sink: &mut dyn TraceSink,
 ) -> Vec<RunResult> {
-    run_serial(
+    run_unsharded(
         &mut deployments,
         catalog,
         units_per_kind,
@@ -116,9 +121,9 @@ pub(crate) fn fleet_tenants<'a>(
     (tenants, workloads)
 }
 
-/// Every tenant in one harness on the serial engine; returns the results
+/// Every tenant in one harness, run as one partition; returns the results
 /// and the events dispatched.
-pub(crate) fn run_serial<'a>(
+pub(crate) fn run_unsharded<'a>(
     deployments: &'a mut [FleetDeployment],
     catalog: Catalog,
     units_per_kind: u32,
@@ -128,5 +133,5 @@ pub(crate) fn run_serial<'a>(
     let (tenants, workloads) = fleet_tenants(deployments, cfg, tracer.enabled());
     let end = trace_end(workloads.iter().copied());
     let harness = Harness::new(cfg, catalog, units_per_kind, tenants, end, tracer);
-    run_harness(harness, &workloads, false)
+    run_harness(harness, &workloads)
 }

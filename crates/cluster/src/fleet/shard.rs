@@ -10,8 +10,8 @@
 //! *epochs*:
 //!
 //! 1. chunk the deployments contiguously into `shards` groups, each its
-//!    own harness + [`paldia_sim::PartitionCalendar`] + arrival
-//!    [`paldia_sim::Rail`];
+//!    own harness + [`paldia_sim::PartitionCalendar`] + arrival streams
+//!    (an [`paldia_sim::ArrivalFeed`] sampled inside the shard);
 //! 2. run every shard up to the next edge's [`EventKey`] bound (exclusive
 //!    at `(edge.at, 0)`, i.e. *before* anything else at that instant) on
 //!    the `paldia_core::pool` worker pool;
@@ -31,14 +31,15 @@
 //!
 //! Worker and batch ids live in per-tenant namespaces (see
 //! [`crate::harness`]), so a tenant's ids are identical no matter which
-//! shard it lands in. Request ids are assigned by the one arrival sampler
-//! before sharding (RNG forks are impure, so arrival generation stays
-//! serial).
+//! shard it lands in. The coordinator forks every stream's generator and
+//! assigns its request-id block before sharding (RNG forks are impure, so
+//! forking stays serial); each shard then samples its own arrivals, one
+//! trace bin at a time, inside its pool job.
 //!
 //! Non-elastic fleets (finite inventory) couple tenants at *every*
-//! lease/release, so [`run_fleet_sharded`] falls back to the serial engine
-//! for them; likewise for single-tenant fleets, where there is nothing to
-//! partition.
+//! lease/release, so [`run_fleet_sharded`] runs them as one partition with
+//! the fault edges on its own calendar, exactly like [`super::run_fleet`];
+//! likewise for single-tenant fleets, where there is nothing to split.
 
 use std::sync::Mutex;
 
@@ -46,22 +47,24 @@ use paldia_hw::Catalog;
 use paldia_obs::{merge_streams, TraceEventKind, TraceSink, Tracer, VecSink};
 use paldia_sim::{pool, EventKey};
 
-use super::{fleet_tenants, run_serial, FleetDeployment};
+use super::{fleet_tenants, run_unsharded, FleetDeployment};
+use crate::arrivals::Sampler;
 use crate::config::SimConfig;
 use crate::faults::{FaultEdge, FaultKind};
-use crate::harness::{trace_end, trace_fault_edge, Harness, Partition, Sampler};
+use crate::harness::{trace_end, trace_fault_edge, Harness, Partition};
 use crate::result::RunResult;
 
 /// [`super::run_fleet`] with an explicit shard count.
 ///
-/// `shards >= 1` selects the partitioned engine whenever it is legal —
-/// elastic inventory (`units_per_kind == u32::MAX`) and more than one
-/// deployment — and falls back to the serial engine otherwise. On the
-/// partitioned path the results are **invariant across shard counts**
-/// (including 1), and for clean elastic runs bit-identical to
-/// [`super::run_fleet`]; under faults the partitioned path orders fault
-/// edges before other same-instant events, so compare it against itself,
-/// not the serial engine.
+/// Tenants split into shards whenever that is legal — elastic inventory
+/// (`units_per_kind == u32::MAX`) and more than one deployment; otherwise
+/// the fleet runs as one partition, exactly as [`super::run_fleet`] runs
+/// it. Split runs are **invariant across shard counts** (including 1), and
+/// for clean elastic runs bit-identical to [`super::run_fleet`]; under
+/// faults the coordinator applies each fault edge before every other event
+/// at its instant, while [`super::run_fleet`] orders edges among them by
+/// sequence number, so compare split runs against each other, not against
+/// [`super::run_fleet`].
 pub fn run_fleet_sharded(
     deployments: Vec<FleetDeployment>,
     catalog: Catalog,
@@ -72,9 +75,10 @@ pub fn run_fleet_sharded(
     run_fleet_sharded_stats(deployments, catalog, units_per_kind, cfg, shards).0
 }
 
-/// [`run_fleet_sharded`] plus the number of engine events dispatched
-/// across all shards (or by the serial fallback) — the throughput
-/// denominator for stress reporting.
+/// [`run_fleet_sharded`] plus the number of events dispatched, summed over
+/// all shards (or the one partition) — the throughput denominator for
+/// stress reporting. Superseded device wakes are dropped by the partition
+/// calendar, never dispatched, so they are not counted.
 pub fn run_fleet_sharded_stats(
     mut deployments: Vec<FleetDeployment>,
     catalog: Catalog,
@@ -83,7 +87,7 @@ pub fn run_fleet_sharded_stats(
     shards: u32,
 ) -> (Vec<RunResult>, u64) {
     if units_per_kind != u32::MAX || deployments.len() <= 1 {
-        return run_serial(
+        return run_unsharded(
             &mut deployments,
             catalog,
             units_per_kind,
@@ -156,7 +160,7 @@ fn drive<'a>(
     let mut tenants = tenants.into_iter();
     let mut sampler = Sampler::new(cfg.seed);
     let mut base = 0;
-    let shards: Vec<Mutex<Partition<'a>>> = chunk_sizes(n, tracers.len())
+    let shards: Vec<Mutex<Partition<'a, 'a>>> = chunk_sizes(n, tracers.len())
         .zip(tracers)
         .map(|(size, tracer)| {
             let chunk = tenants.by_ref().take(size).collect();
@@ -231,7 +235,9 @@ fn drive<'a>(
     (results, engine_events)
 }
 
-fn lock<'m, 'a>(shard: &'m Mutex<Partition<'a>>) -> std::sync::MutexGuard<'m, Partition<'a>> {
+fn lock<'m, 'a>(
+    shard: &'m Mutex<Partition<'a, 'a>>,
+) -> std::sync::MutexGuard<'m, Partition<'a, 'a>> {
     shard
         .lock()
         .expect("invariant: shard mutexes are never poisoned (pool jobs catch panics)")

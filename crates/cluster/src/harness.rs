@@ -5,7 +5,8 @@
 //! workload over one trace and returns the [`RunResult`] the metrics layer
 //! consumes. The event flow mirrors Fig. 2 of the paper:
 //!
-//! * request **arrivals** (pre-sampled from the rate traces) enter the
+//! * request **arrivals** (sampled from the rate traces one trace bin at a
+//!   time as the run reaches it, see [`crate::arrivals`]) enter the
 //!   per-model batchers (④);
 //! * closed batches are dispatched to the worker selected by the Hardware
 //!   Selection module (②/③) and admitted under the Job Distribution caps
@@ -27,8 +28,10 @@
 //! node leases drawn from a shared per-kind inventory. A single-tenant run
 //! (and the incremental [`crate::session::SimSession`]) is a fleet of one
 //! over elastic inventory (`u32::MAX` units per kind); [`crate::fleet`]
-//! runs many tenants, serially or partitioned across shards. What differs
-//! between the entry points is data, never behaviour:
+//! runs many tenants, as one partition or split across shards. Every run
+//! is driven by the partition engine ([`run_partition`]; the session steps
+//! the same calendar itself). What differs between the entry points is
+//! data, never behaviour:
 //!
 //! * the trace scope — 0 for single-tenant runs, `1 + global tenant index`
 //!   for fleet tenants;
@@ -38,6 +41,7 @@
 //!   ordinals and every tenant's ids are independent of how tenants are
 //!   grouped into shards.
 
+use crate::arrivals::{ArrivalMerge, Sampler};
 use crate::batcher::Batcher;
 use crate::config::SimConfig;
 use crate::container::ContainerId;
@@ -50,10 +54,10 @@ use crate::worker::{Worker, WorkerId, WorkerState};
 use paldia_hw::{Catalog, CostMeter, InstanceKind};
 use paldia_obs::{BatchTrigger, TraceEventKind, TraceSink, Tracer};
 use paldia_sim::{
-    run_partition, run_until, Calendar, EventKey, EventQueue, PartitionCalendar, PartitionWorld,
-    Rail, SimDuration, SimRng, SimTime, WakeEvent, World,
+    run_partition, Calendar, EventKey, EventQueue, PartitionCalendar, PartitionWorld, SimDuration,
+    SimTime, WakeEvent,
 };
-use paldia_traces::{generate_arrivals, Predictor, RateTrace, RateWindow};
+use paldia_traces::{Predictor, RateTrace, RateWindow};
 use paldia_workloads::tokens::{iteration_ms, TokenCard};
 use paldia_workloads::{MlModel, Profile};
 use std::collections::BTreeMap;
@@ -80,8 +84,8 @@ impl WorkloadSpec {
 /// name it.
 pub(crate) enum Ev {
     /// A request reaching a tenant's gateway; it arrives at the event's
-    /// firing time. Arrivals fill the serial engine's heap and the
-    /// partitions' rails, so the payload is kept to 16 bytes.
+    /// firing time. The payload is kept to 16 bytes: a session's injected
+    /// arrivals sit on the heap, and rails store one per arrival.
     Arrival {
         tenant: u32,
         id: RequestId,
@@ -976,9 +980,10 @@ impl<'a> Harness<'a> {
 
 impl<'a> Harness<'a> {
     /// Process one event. This is the single copy of the domain logic,
-    /// generic over the calendar so the serial engine ([`run_until`]), the
-    /// partitioned engine ([`run_partition`]), and the incremental session
-    /// executor ([`crate::session::SimSession`]) drive byte-identical
+    /// generic over the calendar so the partition engine
+    /// ([`run_partition`]), the incremental session executor
+    /// ([`crate::session::SimSession`]) and the serial reference driver
+    /// of the parity tests ([`crate::reference`]) drive byte-identical
     /// behaviour through the same code path.
     pub(crate) fn on_event<C: Calendar<Ev>>(&mut self, now: SimTime, ev: Ev, q: &mut C) {
         match ev {
@@ -1246,15 +1251,7 @@ impl<'a> Harness<'a> {
     }
 }
 
-impl<'a> World for Harness<'a> {
-    type Event = Ev;
-
-    fn handle(&mut self, now: SimTime, ev: Ev, q: &mut EventQueue<Ev>) {
-        self.on_event(now, ev, q);
-    }
-}
-
-impl<'a> PartitionWorld for Harness<'a> {
+impl<'a> PartitionWorld<Ev> for Harness<'a> {
     fn handle_part(&mut self, now: SimTime, ev: Ev, cal: &mut PartitionCalendar<Ev>) {
         self.on_event(now, ev, cal);
     }
@@ -1303,6 +1300,12 @@ impl<'a> Harness<'a> {
         }
     }
 
+    /// The run horizon: the end of the arrival timeline plus the drain
+    /// grace. Events at or after it are never processed.
+    pub(crate) fn horizon(&self) -> SimTime {
+        self.trace_end + self.cfg.drain_grace
+    }
+
     /// Completed requests of tenant 0 recorded at or after index `from`, in
     /// completion order. The session executor drains completions
     /// incrementally through this window to answer live callers.
@@ -1332,8 +1335,9 @@ impl<'a> Harness<'a> {
     }
 
     /// Emit the run summary, then [`Harness::into_results`]. The tail of
-    /// every single-harness run — serial, partitioned, and session — so
+    /// every single-harness run — batch, session, and reference — so
     /// results are assembled identically regardless of executor.
+    /// `engine_events` counts dispatched events.
     pub(crate) fn finish(mut self, horizon: SimTime, engine_events: u64) -> Vec<RunResult> {
         self.tracer.set_scope(0);
         self.tracer.emit(horizon, || TraceEventKind::RunSummary {
@@ -1344,40 +1348,39 @@ impl<'a> Harness<'a> {
     }
 }
 
-/// One partition of the partitioned engine: a harness, its heap calendar,
-/// and the pre-sorted arrival rail that keeps arrivals off the heap.
-pub(crate) struct Partition<'a> {
+/// One partition of the partition engine: a harness, its calendar, and
+/// the arrival streams of its tenants, sampled while the run consumes them.
+pub(crate) struct Partition<'a, 'w> {
     pub(crate) harness: Harness<'a>,
     cal: PartitionCalendar<Ev>,
-    rail: Rail<Ev>,
+    arrivals: ArrivalMerge<'w>,
 }
 
-impl<'a> Partition<'a> {
+impl<'a, 'w> Partition<'a, 'w> {
     /// Build a partition over the harness's tenants — global indices
-    /// `base..`, whose workloads are `workloads` — sampling their arrivals
-    /// onto the rail from `sampler`, and seed its calendar; fault edges are
+    /// `base..`, whose workloads are `workloads` — forking their arrival
+    /// streams from `sampler`, and seed its calendar; fault edges are
     /// seeded only when the partition owns them (`faults`), not when a
     /// coordinator applies them at barriers.
     pub(crate) fn new(
         mut harness: Harness<'a>,
         sampler: &mut Sampler,
         base: usize,
-        workloads: &[&[WorkloadSpec]],
+        workloads: &[&'w [WorkloadSpec]],
         faults: bool,
     ) -> Self {
-        let mut rail = Vec::with_capacity(arrival_capacity(workloads));
-        sampler.arrival_events(base, workloads, |at, ev| rail.push((at, ev)));
+        let arrivals = sampler.streams(base, workloads);
         let mut q = EventQueue::with_capacity(1_024);
-        // Rail entries own the run's smallest seqs — exactly as the serial
-        // engine's up-front arrival scheduling does — so everything seeded
-        // below gets the seq it gets there.
-        q.skip_seqs(rail.len() as u64);
+        // Arrivals own the run's smallest seqs — they are scheduled before
+        // anything else — so everything seeded below gets the seq it would
+        // get with every arrival on the heap.
+        q.skip_seqs(arrivals.total());
         let mut cal = PartitionCalendar::new(q);
         harness.seed_calendar(&mut cal, faults);
         Partition {
             harness,
             cal,
-            rail: Rail::from_schedule_order(rail),
+            arrivals,
         }
     }
 
@@ -1386,7 +1389,7 @@ impl<'a> Partition<'a> {
         run_partition(
             &mut self.harness,
             &mut self.cal,
-            &mut self.rail,
+            &mut self.arrivals,
             bound,
             paldia_sim::engine::DEFAULT_EVENT_BUDGET,
         )
@@ -1399,48 +1402,6 @@ impl<'a> Partition<'a> {
     }
 }
 
-/// One pre-sampled arrival, in generation (tenant-major, then model-major)
-/// order.
-///
-/// `seq` is the calendar sequence number the arrival owns in the batch
-/// engines (arrivals are scheduled before anything else, so generation
-/// index == seq); `id` is the request id the harness assigns it. Recording
-/// both lets a replayed trace reproduce the batch run's `(time, seq)`
-/// total order — and therefore its every tie-break — bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SampledArrival {
-    /// Calendar sequence number (generation index) of this arrival.
-    pub seq: u64,
-    /// Request id the harness assigns (1-based, generation order).
-    pub id: RequestId,
-    /// Absolute arrival time.
-    pub at: SimTime,
-    /// Model invoked.
-    pub model: MlModel,
-}
-
-/// Sample every arrival for `workloads` under `seed`, exactly as the batch
-/// entry points do (as tenant 0 of a fleet, whose fork key
-/// `(tenant << 8) | (model index + 1)` reduces to `model index + 1`).
-/// This is the single copy of the sampling discipline — [`run_simulation`]
-/// consumes it directly and `crate::replay` records it to disk — so a
-/// recorded trace can never drift from what the simulator would have
-/// sampled.
-///
-/// Returns the arrivals and the trace end (max workload duration).
-pub fn sample_arrivals(workloads: &[WorkloadSpec], seed: u64) -> (Vec<SampledArrival>, SimTime) {
-    let mut out = Vec::new();
-    Sampler::new(seed).tenant(0, workloads, |r| {
-        out.push(SampledArrival {
-            seq: r.id.0 - 1,
-            id: r.id,
-            at: r.arrival,
-            model: r.model,
-        })
-    });
-    (out, trace_end([workloads]))
-}
-
 /// End of the arrival timeline: the longest workload trace of any tenant.
 pub(crate) fn trace_end<'w>(tenants: impl IntoIterator<Item = &'w [WorkloadSpec]>) -> SimTime {
     (tenants.into_iter().flatten())
@@ -1449,100 +1410,18 @@ pub(crate) fn trace_end<'w>(tenants: impl IntoIterator<Item = &'w [WorkloadSpec]
         .unwrap_or(SimTime::ZERO)
 }
 
-/// Capacity for the arrivals the traces of `workloads` expect, with 9/8
-/// headroom for sampling variance (and, on the serial heap, in-flight
-/// events): sizes heaps and rails up front.
-fn arrival_capacity(workloads: &[&[WorkloadSpec]]) -> usize {
-    let expected: f64 = (workloads.iter().copied().flatten())
-        .map(|spec| spec.trace.expected_requests())
-        .sum();
-    (expected * 1.125) as usize + 64
-}
-
-/// The arrival sampler: one fork of the root RNG per `(tenant, workload)`,
-/// keyed `(tenant << 8) | (model index + 1)`, arrivals generated
-/// tenant-major then in workload (model-major) order; request ids count
-/// from 1 across all tenants, so an arrival's calendar seq is its id − 1.
-/// Arrival generation is inherently serial — [`SimRng::fork`] consumes
-/// entropy from the parent stream — so every engine samples its tenants
-/// in order through one sampler, straight into its heap or rails.
-pub(crate) struct Sampler {
-    rng: SimRng,
-    next_id: u64,
-}
-
-impl Sampler {
-    pub(crate) fn new(seed: u64) -> Self {
-        Sampler {
-            rng: SimRng::new(seed),
-            next_id: 1,
-        }
-    }
-
-    /// Sample tenant `dep`'s arrivals (tenants must come in order).
-    fn tenant(&mut self, dep: usize, workloads: &[WorkloadSpec], mut push: impl FnMut(Request)) {
-        for spec in workloads {
-            let key = ((dep as u64) << 8) | (spec.model.index() as u64 + 1);
-            let mut model_rng = self.rng.fork(key);
-            for at in generate_arrivals(&spec.trace, &mut model_rng) {
-                push(Request {
-                    id: RequestId(self.next_id),
-                    model: spec.model,
-                    arrival: at,
-                });
-                self.next_id += 1;
-            }
-        }
-    }
-
-    /// Sample tenants `base..` (global indices; `workloads[i]` belongs to
-    /// tenant `base + i`) as arrival events, in schedule order, for a
-    /// harness holding exactly those tenants.
-    fn arrival_events(
-        &mut self,
-        base: usize,
-        workloads: &[&[WorkloadSpec]],
-        mut push: impl FnMut(SimTime, Ev),
-    ) {
-        for (local, w) in workloads.iter().enumerate() {
-            self.tenant(base + local, w, |r| {
-                let ev = Ev::Arrival {
-                    tenant: local as u32,
-                    id: r.id,
-                    model: r.model,
-                };
-                push(r.arrival, ev)
-            });
-        }
-    }
-}
-
-/// Run a harness to its horizon on one engine and assemble the results:
-/// the serial engine ([`run_until`]) with every arrival scheduled up
-/// front, or one partition of the partitioned engine ([`run_partition`])
-/// with arrivals on the rail. Both seed the calendar identically after the
-/// arrivals, so every output byte matches between them. `workloads[i]`
-/// are tenant `i`'s workloads.
+/// Run a harness to its horizon as one partition, with the fault edges on
+/// its own calendar, and assemble the results; also returns the events
+/// dispatched. `workloads[i]` are tenant `i`'s workloads.
 pub(crate) fn run_harness(
-    mut harness: Harness<'_>,
+    harness: Harness<'_>,
     workloads: &[&[WorkloadSpec]],
-    partitioned: bool,
 ) -> (Vec<RunResult>, u64) {
-    let horizon = harness.trace_end + harness.cfg.drain_grace;
+    let horizon = harness.horizon();
     let mut sampler = Sampler::new(harness.cfg.seed);
-    let (harness, events) = if partitioned {
-        let mut part = Partition::new(harness, &mut sampler, 0, workloads, true);
-        let events = part.run_to(EventKey::new(horizon, 0));
-        (part.harness, events)
-    } else {
-        // Reserve the heap's high-water mark up front: arrivals dominate it.
-        let mut q: EventQueue<Ev> = EventQueue::with_capacity(arrival_capacity(workloads));
-        sampler.arrival_events(0, workloads, |at, ev| q.schedule(at, ev));
-        harness.seed_calendar(&mut q, true);
-        let events = run_until(&mut harness, &mut q, horizon).events();
-        (harness, events)
-    };
-    (harness.finish(horizon, events), events)
+    let mut part = Partition::new(harness, &mut sampler, 0, workloads, true);
+    let events = part.run_to(EventKey::new(horizon, 0));
+    (part.harness.finish(horizon, events), events)
 }
 
 /// Run one scheme over the given workloads. `initial_hw` is the node the
@@ -1561,36 +1440,22 @@ pub fn run_simulation(
         catalog,
         cfg,
         Tracer::disabled(),
-        1,
     )
 }
 
-/// Like [`run_simulation`], with an explicit shard count. `shards >= 2`
-/// selects the partitioned execution engine ([`run_partition`]): arrivals
-/// ride a pre-sorted rail instead of the heap and device wakes live in
-/// per-worker registers, with virtual sequence numbers keeping the
-/// `(time, seq)` total order — and therefore every tie-break and every
-/// output byte — identical to the serial engine (enforced by
-/// `tests/determinism_replay.rs` under `PALDIA_SHARDS`). A single-tenant
-/// deployment is one partition, so any `shards >= 2` behaves the same here;
-/// multi-tenant fleet runs split by tenant (see `ext_fleet`).
+/// [`run_simulation`] with a shard count. A single-tenant run is one
+/// partition, so `shards` does not change how it runs or what it returns;
+/// only elastic multi-tenant fleets split across shards (see
+/// [`crate::fleet::shard`]).
 pub fn run_simulation_sharded(
     workloads: &[WorkloadSpec],
     scheduler: &mut dyn Scheduler,
     initial_hw: InstanceKind,
     catalog: Catalog,
     cfg: &SimConfig,
-    shards: u32,
+    _shards: u32,
 ) -> RunResult {
-    run_simulation_impl(
-        workloads,
-        scheduler,
-        initial_hw,
-        catalog,
-        cfg,
-        Tracer::disabled(),
-        shards,
-    )
+    run_simulation(workloads, scheduler, initial_hw, catalog, cfg)
 }
 
 /// Like [`run_simulation`], but records the full observability stream into
@@ -1606,20 +1471,6 @@ pub fn run_simulation_traced(
     cfg: &SimConfig,
     sink: &mut dyn TraceSink,
 ) -> RunResult {
-    run_simulation_traced_sharded(workloads, scheduler, initial_hw, catalog, cfg, sink, 1)
-}
-
-/// [`run_simulation_traced`] with an explicit shard count (see
-/// [`run_simulation_sharded`] for the engine-selection semantics).
-pub fn run_simulation_traced_sharded(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-    shards: u32,
-) -> RunResult {
     scheduler.set_decision_recording(true);
     let result = run_simulation_impl(
         workloads,
@@ -1628,16 +1479,41 @@ pub fn run_simulation_traced_sharded(
         catalog,
         cfg,
         Tracer::new(sink),
-        shards,
     );
     scheduler.set_decision_recording(false);
     result
 }
 
-/// A single-tenant run: a fleet of one over elastic inventory. `shards >= 2`
-/// opts into the partitioned engine; the whole run is one tenant partition,
-/// so the shard *count* does not change behaviour here — only the engine
-/// selection does, and every output byte matches the serial engine.
+/// [`run_simulation_traced`] with a shard count, which a single-tenant run
+/// ignores (see [`run_simulation_sharded`]).
+pub fn run_simulation_traced_sharded(
+    workloads: &[WorkloadSpec],
+    scheduler: &mut dyn Scheduler,
+    initial_hw: InstanceKind,
+    catalog: Catalog,
+    cfg: &SimConfig,
+    sink: &mut dyn TraceSink,
+    _shards: u32,
+) -> RunResult {
+    run_simulation_traced(workloads, scheduler, initial_hw, catalog, cfg, sink)
+}
+
+/// The tenant and harness of a single-tenant run: a fleet of one over
+/// elastic inventory. The session executor and the reference driver build
+/// theirs here too.
+pub(crate) fn solo_harness<'a>(
+    models: Vec<MlModel>,
+    scheduler: &'a mut dyn Scheduler,
+    initial_hw: InstanceKind,
+    catalog: Catalog,
+    cfg: &'a SimConfig,
+    trace_end: SimTime,
+    tracer: Tracer<'a>,
+) -> Harness<'a> {
+    let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
+    Harness::new(cfg, catalog, u32::MAX, vec![tenant], trace_end, tracer)
+}
+
 fn run_simulation_impl<'a>(
     workloads: &[WorkloadSpec],
     scheduler: &'a mut dyn Scheduler,
@@ -1645,13 +1521,11 @@ fn run_simulation_impl<'a>(
     catalog: Catalog,
     cfg: &'a SimConfig,
     tracer: Tracer<'a>,
-    shards: u32,
 ) -> RunResult {
     let models = workloads.iter().map(|s| s.model).collect();
-    let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
     let end = trace_end([workloads]);
-    let harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], end, tracer);
-    let (mut results, _) = run_harness(harness, &[workloads], shards >= 2);
+    let harness = solo_harness(models, scheduler, initial_hw, catalog, cfg, end, tracer);
+    let (mut results, _) = run_harness(harness, &[workloads]);
     results.pop().expect("invariant: one tenant, one result")
 }
 

@@ -28,6 +28,7 @@
 //! path live; [`replay`] records sampled arrival traces so both executors
 //! can be compared decision-for-decision (DESIGN.md §14).
 
+pub mod arrivals;
 pub mod batcher;
 pub mod config;
 pub mod container;
@@ -36,12 +37,15 @@ pub mod faults;
 pub mod fleet;
 pub mod harness;
 pub mod policy;
+#[doc(hidden)]
+pub mod reference;
 pub mod replay;
 pub mod request;
 pub mod result;
 pub mod session;
 pub mod worker;
 
+pub use arrivals::{sample_arrivals, SampledArrival};
 pub use config::SimConfig;
 pub use device::{DeviceMode, IterSeq, IterativeEngine, RetiredSeq};
 pub use faults::{
@@ -52,7 +56,7 @@ pub use fleet::shard::{run_fleet_sharded, run_fleet_sharded_stats, run_fleet_tra
 pub use fleet::{run_fleet, run_fleet_traced, FleetDeployment};
 pub use harness::{
     run_simulation, run_simulation_sharded, run_simulation_traced, run_simulation_traced_sharded,
-    sample_arrivals, SampledArrival, WorkloadSpec,
+    WorkloadSpec,
 };
 pub use policy::{Decision, ModelDecision, ModelObs, Observation, Scheduler};
 pub use replay::{instance_from_token, model_from_token, model_token, ParseError, RecordedTrace};

@@ -29,7 +29,8 @@
 //! — injection order. The module does no file I/O; callers (the
 //! `experiments` capture path, the serve shell) read and write the text.
 
-use crate::harness::{sample_arrivals, SampledArrival, WorkloadSpec};
+use crate::arrivals::{sample_arrivals, SampledArrival};
+use crate::harness::WorkloadSpec;
 use crate::request::RequestId;
 use paldia_hw::InstanceKind;
 use paldia_sim::{SimDuration, SimTime};

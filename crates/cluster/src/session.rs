@@ -11,14 +11,18 @@
 //! arrivals it learns about at runtime (from a socket, a replay file, a
 //! test).
 //!
+//! A session runs on the same [`PartitionCalendar`] as the batch runs: a
+//! heap for ordinary events (and here, the injected arrivals) plus the
+//! per-worker wake registers, so superseded wakes are never dispatched.
+//!
 //! # Bit-identical replay
 //!
-//! The batch engines schedule every pre-sampled arrival *before* seeding
-//! the calendar, so arrivals own the run's first `(time, seq)` sequence
-//! numbers and win every same-instant tie against ticks. An incremental
-//! executor that allocated fresh sequence numbers at injection time would
-//! order those ties the other way and diverge. A session therefore
-//! *reserves* the arrival seq block up front
+//! The batch runs reserve a calendar sequence number for every sampled
+//! arrival *before* seeding the calendar, so arrivals own the run's first
+//! `(time, seq)` sequence numbers and win every same-instant tie against
+//! ticks. An incremental executor that allocated fresh sequence numbers at
+//! injection time would order those ties the other way and diverge. A
+//! session therefore *reserves* the arrival seq block up front
 //! ([`SimSession::new`]'s `reserved_arrivals`) and each
 //! [`inject_recorded`](SimSession::inject_recorded) reclaims the arrival's
 //! original number, making the session's event order — and every
@@ -33,14 +37,17 @@
 //! divergence-free by construction — the differential gate in
 //! `paldia-serve` asserts exactly that.
 
+use crate::arrivals::SampledArrival;
 use crate::config::SimConfig;
-use crate::harness::{Ev, Harness, SampledArrival, Tenant};
+use crate::harness::{solo_harness, Ev, Harness};
 use crate::policy::Scheduler;
 use crate::request::{CompletedRequest, RequestId};
 use crate::result::RunResult;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceSink, Tracer};
-use paldia_sim::{engine::DEFAULT_EVENT_BUDGET, Clock, EventQueue, SimTime};
+use paldia_sim::{
+    engine::DEFAULT_EVENT_BUDGET, Calendar, Clock, EventKey, EventQueue, PartitionCalendar, SimTime,
+};
 use paldia_workloads::MlModel;
 
 /// The cluster simulation as an open system: step events, inject arrivals.
@@ -50,7 +57,7 @@ use paldia_workloads::MlModel;
 /// session bit-identical to [`crate::run_simulation`].
 pub struct SimSession<'a> {
     harness: Harness<'a>,
-    q: EventQueue<Ev>,
+    cal: PartitionCalendar<Ev>,
     horizon: SimTime,
     reserved: u64,
     next_live_id: u64,
@@ -131,18 +138,20 @@ impl<'a> SimSession<'a> {
         tracer: Tracer<'a>,
         traced: bool,
     ) -> Self {
-        let horizon = trace_end + cfg.drain_grace;
-        let tenant = Tenant::new(scheduler, models, initial_hw, 0, None, cfg);
-        let mut harness = Harness::new(cfg, catalog, u32::MAX, vec![tenant], trace_end, tracer);
+        let mut harness = solo_harness(
+            models, scheduler, initial_hw, catalog, cfg, trace_end, tracer,
+        );
+        let horizon = harness.horizon();
         let mut q: EventQueue<Ev> = EventQueue::new();
         // Arrivals own the first `reserved_arrivals` sequence numbers, as
-        // they do in the batch engines; everything the calendar seeding
+        // they do in the batch runs; everything the calendar seeding
         // schedules below starts after the block.
         q.skip_seqs(reserved_arrivals);
-        harness.seed_calendar(&mut q, true);
+        let mut cal = PartitionCalendar::new(q);
+        harness.seed_calendar(&mut cal, true);
         SimSession {
             harness,
-            q,
+            cal,
             horizon,
             reserved: reserved_arrivals,
             next_live_id: 0,
@@ -158,17 +167,19 @@ impl<'a> SimSession<'a> {
         self.horizon
     }
 
-    /// Firing time of the earliest pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.q.peek_time()
+    /// Firing time of the earliest pending event, if any. Takes `&mut self`
+    /// because the calendar discards superseded wakes on the way.
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
+        self.cal.peek_key().map(EventKey::time)
     }
 
     /// Simulated "now": the time of the last processed event.
     pub fn now(&self) -> SimTime {
-        self.q.floor()
+        self.cal.queue().floor()
     }
 
-    /// Number of events processed so far.
+    /// Number of events dispatched so far. Superseded device wakes are
+    /// dropped by the calendar, never dispatched, so they do not count.
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -189,14 +200,14 @@ impl<'a> SimSession<'a> {
             id: sa.id,
             model: sa.model,
         };
-        self.q.schedule_reserved(sa.at, sa.seq, ev);
+        self.cal.queue_mut().schedule_reserved(sa.at, sa.seq, ev);
     }
 
     /// Inject a live arrival at `at` (clamped to the session's "now") and
     /// return its assigned request id. Live ids start after the reserved
     /// block, so mixing recorded and live arrivals cannot collide.
     pub fn inject_arrival(&mut self, at: SimTime, model: MlModel) -> RequestId {
-        let at = at.max(self.q.floor());
+        let at = at.max(self.now());
         self.next_live_id += 1;
         let id = RequestId(self.reserved + self.next_live_id);
         let ev = Ev::Arrival {
@@ -204,23 +215,23 @@ impl<'a> SimSession<'a> {
             id,
             model,
         };
-        self.q.schedule(at, ev);
+        self.cal.schedule(at, ev);
         id
     }
 
     /// Process the earliest pending event if it fires before the horizon;
     /// returns its time, or `None` when nothing is runnable.
     pub fn step(&mut self) -> Option<SimTime> {
-        let t = self.q.peek_time()?;
+        let t = self.next_event_time()?;
         if t >= self.horizon || self.events >= DEFAULT_EVENT_BUDGET {
             return None;
         }
         let (now, ev) = self
-            .q
+            .cal
             .pop()
-            .expect("invariant: peek_time returned Some, so pop cannot fail");
+            .expect("invariant: next_event_time returned Some, so pop cannot fail");
         self.events += 1;
-        self.harness.on_event(now, ev, &mut self.q);
+        self.harness.on_event(now, ev, &mut self.cal);
         Some(now)
     }
 

@@ -1,7 +1,9 @@
 //! Sharded fleet execution: the partitioned coordinator must be invariant
-//! across shard counts, agree with the serial engine on clean elastic
-//! runs, and conserve requests under fault schedules.
+//! across shard counts, agree with the serial reference driver (every
+//! arrival sampled up front onto one heap) on clean elastic runs, and
+//! conserve requests under fault schedules.
 
+use paldia_cluster::reference::run_fleet_reference;
 use paldia_cluster::{
     run_fleet, run_fleet_sharded, run_fleet_traced_sharded, FailoverPolicyKind, FaultPlan,
     FleetDeployment, RunResult, SimConfig,
@@ -60,12 +62,19 @@ fn assert_identical(label: &str, a: &str, b: &str) {
 #[test]
 fn clean_elastic_fleet_matches_serial_bit_for_bit() {
     let cfg = SimConfig::with_seed(21);
-    let serial = fingerprint(&run_fleet(
+    let serial = fingerprint(&run_fleet_reference(
         deployments(60),
         Catalog::table_ii(),
         ELASTIC,
         &cfg,
     ));
+    let unsplit = fingerprint(&run_fleet(
+        deployments(60),
+        Catalog::table_ii(),
+        ELASTIC,
+        &cfg,
+    ));
+    assert_identical("clean run_fleet", &serial, &unsplit);
     for shards in [1u32, 2, 3] {
         let sharded = fingerprint(&run_fleet_sharded(
             deployments(60),
@@ -125,29 +134,47 @@ fn crashed_sharded_fleet_conserves_requests() {
 }
 
 #[test]
-fn finite_inventory_and_single_tenant_fall_back_to_serial() {
-    let cfg = SimConfig::with_seed(24);
-    // Finite inventory: sharded must equal the serial engine exactly.
-    let serial = fingerprint(&run_fleet(deployments(40), Catalog::table_ii(), 1, &cfg));
-    let sharded = fingerprint(&run_fleet_sharded(
-        deployments(40),
-        Catalog::table_ii(),
-        1,
-        &cfg,
-        4,
-    ));
-    assert_identical("finite inventory", &serial, &sharded);
-    // Single tenant: likewise.
-    let one = || vec![deployments(40).remove(0)];
-    let serial = fingerprint(&run_fleet(one(), Catalog::table_ii(), ELASTIC, &cfg));
-    let sharded = fingerprint(&run_fleet_sharded(
-        one(),
-        Catalog::table_ii(),
-        ELASTIC,
-        &cfg,
-        4,
-    ));
-    assert_identical("single tenant", &serial, &sharded);
+fn finite_inventory_and_single_tenant_run_unsplit() {
+    let faulted = SimConfig::with_seed(25).with_faults(
+        FaultPlan::new()
+            .crash(SimTime::from_secs(15), SimDuration::from_secs(10))
+            .degrade(SimTime::from_secs(8), SimDuration::from_secs(20), 0.4)
+            .cold_start_storm(SimTime::from_secs(30)),
+        FailoverPolicyKind::CheapestMorePerformant,
+    );
+    for (label, cfg) in [("clean", SimConfig::with_seed(24)), ("faulted", faulted)] {
+        // Finite inventory runs as one partition whatever the shard count,
+        // equal to the serial reference exactly — fault edges included.
+        let serial = fingerprint(&run_fleet_reference(
+            deployments(40),
+            Catalog::table_ii(),
+            1,
+            &cfg,
+        ));
+        for sharded in [
+            run_fleet(deployments(40), Catalog::table_ii(), 1, &cfg),
+            run_fleet_sharded(deployments(40), Catalog::table_ii(), 1, &cfg, 4),
+        ] {
+            let label = format!("{label} finite inventory");
+            assert_identical(&label, &serial, &fingerprint(&sharded));
+        }
+        // Single tenant: likewise.
+        let one = || vec![deployments(40).remove(0)];
+        let serial = fingerprint(&run_fleet_reference(
+            one(),
+            Catalog::table_ii(),
+            ELASTIC,
+            &cfg,
+        ));
+        let sharded = fingerprint(&run_fleet_sharded(
+            one(),
+            Catalog::table_ii(),
+            ELASTIC,
+            &cfg,
+            4,
+        ));
+        assert_identical(&format!("{label} single tenant"), &serial, &sharded);
+    }
 }
 
 /// Trace-stream shape with the `RunSummary` dispatched-event count masked

@@ -4,10 +4,12 @@
 //! only join and leave the running batch at iteration boundaries, the KV
 //! cache is a hard capacity bound at every instant, every request does
 //! exactly the work its token card prescribes, and none of it depends on
-//! which engine (serial or partitioned) drives the events. Each property
+//! which driver (the partition engine at any shard count, or the serial
+//! reference) runs the events. Each property
 //! replays full end-to-end simulations over generated seeds/rates and
 //! audits the emitted `IterationStarted`/`BatchJoin`/`BatchLeave` stream.
 
+use paldia_cluster::reference::run_simulation_reference;
 use paldia_cluster::{
     run_simulation_traced_sharded, Decision, ModelDecision, Observation, RunResult, Scheduler,
     SimConfig, WorkloadSpec,
@@ -48,15 +50,23 @@ impl Scheduler for Fixed {
     }
 }
 
+/// Which driver runs the events.
+#[derive(Clone, Copy)]
+enum Driver {
+    /// The partition engine, through the public entry point.
+    Shards(u32),
+    /// The serial reference: every arrival up front on one heap.
+    Reference,
+}
+
 /// One traced iterative run: Bert (long-doc card) plus FunnelTransformer
-/// (bimodal card) at the given rates, on the serial (`shards = 1`) or
-/// partitioned (`shards >= 2`) engine.
+/// (bimodal card) at the given rates, on the given driver.
 fn run_llm(
     seed: u64,
     rps_a: f64,
     rps_b: f64,
     secs: u64,
-    shards: u32,
+    driver: Driver,
 ) -> (RunResult, Vec<TraceEvent>) {
     let mk = |m: MlModel, rps: f64| {
         WorkloadSpec::new(
@@ -71,15 +81,15 @@ fn run_llm(
     let mut sched = Fixed(InstanceKind::P3_2xlarge);
     let cfg = SimConfig::with_seed(seed).with_iterative_batching();
     let mut sink = VecSink::new();
-    let result = run_simulation_traced_sharded(
-        &specs,
-        &mut sched,
-        InstanceKind::P3_2xlarge,
-        Catalog::table_ii(),
-        &cfg,
-        &mut sink,
-        shards,
-    );
+    let (hw, catalog) = (InstanceKind::P3_2xlarge, Catalog::table_ii());
+    let result = match driver {
+        Driver::Shards(n) => {
+            run_simulation_traced_sharded(&specs, &mut sched, hw, catalog, &cfg, &mut sink, n)
+        }
+        Driver::Reference => {
+            run_simulation_reference(&specs, &mut sched, hw, catalog, &cfg, Some(&mut sink))
+        }
+    };
     (result, sink.into_events())
 }
 
@@ -104,7 +114,7 @@ proptest! {
     /// `BatchLeave` appears on that worker before the boundary instant.
     #[test]
     fn no_join_or_leave_mid_iteration(seed in 1u64..5_000, rps in 10u64..60) {
-        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, 1);
+        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
         // Per worker: end of the in-flight iteration, if any.
         let mut open: BTreeMap<u32, SimTime> = BTreeMap::new();
         let mut saw_iteration = false;
@@ -142,7 +152,7 @@ proptest! {
     /// never exceeds the device capacity.
     #[test]
     fn kv_occupancy_never_exceeds_capacity(seed in 1u64..5_000, rps in 10u64..80) {
-        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, 1);
+        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
         // Ledger: per worker, resident KV; per request, its reserved KV.
         let mut kv: BTreeMap<u32, u64> = BTreeMap::new();
         let mut reserved: BTreeMap<u64, u64> = BTreeMap::new();
@@ -182,7 +192,7 @@ proptest! {
     /// pure `(seed, request id)` hash — no sampling state to drift).
     #[test]
     fn per_request_token_conservation(seed in 1u64..5_000, rps in 10u64..60) {
-        let (result, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, 1);
+        let (result, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
         let mut joined: BTreeMap<u64, u64> = BTreeMap::new();
         let mut leaves = 0u64;
         for e in iter_events(&events) {
@@ -218,21 +228,25 @@ proptest! {
         prop_assert!(leaves > 0, "run retired no sequences at all");
     }
 
-    /// Engine-reorder invariance: the serial engine and the partitioned
+    /// Engine-reorder invariance: the serial reference and the partition
     /// engine (any shard count), plus an in-process rerun, emit the
     /// bit-identical iteration event stream — same times, same sequence
     /// numbers, same payloads.
     #[test]
     fn iteration_stream_is_engine_invariant(seed in 1u64..2_000, rps in 10u64..40) {
-        let (r1, e1) = run_llm(seed, rps as f64, 8.0, 6, 1);
-        let (r2, e2) = run_llm(seed, rps as f64, 8.0, 6, 2);
-        let (r3, e3) = run_llm(seed, rps as f64, 8.0, 6, 3);
-        let (r1b, e1b) = run_llm(seed, rps as f64, 8.0, 6, 1);
-        prop_assert_eq!(&e1, &e2, "serial vs 2-shard trace streams diverge");
-        prop_assert_eq!(&e1, &e3, "serial vs 3-shard trace streams diverge");
-        prop_assert_eq!(&e1, &e1b, "in-process rerun diverges");
+        let run = |driver| run_llm(seed, rps as f64, 8.0, 6, driver);
+        let (r1, e1) = run(Driver::Reference);
+        let (r2, e2) = run(Driver::Shards(2));
+        let (r3, e3) = run(Driver::Shards(3));
+        let (r1b, e1b) = run(Driver::Shards(1));
+        let (r1c, e1c) = run(Driver::Shards(1));
+        prop_assert_eq!(&e1, &e2, "reference vs 2-shard trace streams diverge");
+        prop_assert_eq!(&e1, &e3, "reference vs 3-shard trace streams diverge");
+        prop_assert_eq!(&e1, &e1b, "reference vs 1-shard trace streams diverge");
+        prop_assert_eq!(&e1b, &e1c, "in-process rerun diverges");
         prop_assert_eq!(&r1.completed, &r2.completed);
         prop_assert_eq!(&r1.completed, &r3.completed);
         prop_assert_eq!(&r1.completed, &r1b.completed);
+        prop_assert_eq!(&r1b.completed, &r1c.completed);
     }
 }

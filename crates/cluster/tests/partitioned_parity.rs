@@ -1,13 +1,17 @@
-//! Bit-identity of the partitioned (lean) engine against the serial engine.
+//! Bit-identity of the partition engine against the serial reference.
 //!
-//! `run_simulation_sharded(.., shards >= 2)` must produce a `RunResult`
-//! that is byte-for-byte identical to `run_simulation` — same completions in
-//! the same order, same costs, same node stats, same timelines — across
-//! clean runs, overload, hardware transitions, and every fault kind. The
+//! `run_simulation` streams arrivals one trace bin at a time and keeps
+//! device wakes in per-worker registers. It must produce a `RunResult`
+//! byte-for-byte identical to the reference driver, which samples every
+//! arrival up front onto one `EventQueue` and runs `run_until` over the
+//! same event handler — same completions in the same order, same costs,
+//! same node stats, same timelines — across clean runs, overload, hardware
+//! transitions, and every fault kind, at every shard count. The
 //! comparison goes through `format!("{:?}")`, which for `f64` prints the
 //! shortest round-trip representation and therefore distinguishes any two
 //! different bit patterns outside of NaN/signed-zero (neither occurs here).
 
+use paldia_cluster::reference::run_simulation_reference;
 use paldia_cluster::{
     run_simulation, run_simulation_sharded, Decision, FailoverPolicyKind, FaultPlan, ModelDecision,
     Observation, RunResult, Scheduler, SimConfig, WorkloadSpec,
@@ -55,27 +59,24 @@ fn steady(model: MlModel, rps: f64, secs: u64) -> WorkloadSpec {
 }
 
 /// Run the same scenario on both engines and demand identical output.
-fn assert_parity(hw: InstanceKind, total_cap: Option<u32>, spec: &WorkloadSpec, cfg: &SimConfig) {
+fn assert_parity(
+    hw: InstanceKind,
+    total_cap: Option<u32>,
+    specs: &[WorkloadSpec],
+    cfg: &SimConfig,
+) {
     let serial = {
         let mut sched = Fixed { hw, total_cap };
-        run_simulation(
-            std::slice::from_ref(spec),
-            &mut sched,
-            hw,
-            Catalog::table_ii(),
-            cfg,
-        )
+        run_simulation_reference(specs, &mut sched, hw, Catalog::table_ii(), cfg, None)
     };
+    let plain = {
+        let mut sched = Fixed { hw, total_cap };
+        run_simulation(specs, &mut sched, hw, Catalog::table_ii(), cfg)
+    };
+    assert_identical(&serial, &plain, 1);
     for shards in [2u32, 7] {
         let mut sched = Fixed { hw, total_cap };
-        let lean = run_simulation_sharded(
-            std::slice::from_ref(spec),
-            &mut sched,
-            hw,
-            Catalog::table_ii(),
-            cfg,
-            shards,
-        );
+        let lean = run_simulation_sharded(specs, &mut sched, hw, Catalog::table_ii(), cfg, shards);
         assert_identical(&serial, &lean, shards);
     }
 }
@@ -110,7 +111,7 @@ fn parity_moderate_gpu_load() {
     assert_parity(
         InstanceKind::P3_2xlarge,
         None,
-        &steady(MlModel::ResNet50, 100.0, 60),
+        &[steady(MlModel::ResNet50, 100.0, 60)],
         &cfg,
     );
 }
@@ -122,7 +123,7 @@ fn parity_time_sharing_overload() {
     assert_parity(
         InstanceKind::G3s_xlarge,
         Some(1),
-        &steady(MlModel::ResNet50, 700.0, 45),
+        &[steady(MlModel::ResNet50, 700.0, 45)],
         &cfg,
     );
 }
@@ -133,7 +134,7 @@ fn parity_cpu_node() {
     assert_parity(
         InstanceKind::C6i_4xlarge,
         None,
-        &steady(MlModel::MobileNet, 10.0, 60),
+        &[steady(MlModel::MobileNet, 10.0, 60)],
         &cfg,
     );
 }
@@ -165,12 +166,13 @@ fn parity_under_hardware_transition() {
     let spec = steady(MlModel::ResNet50, 50.0, 60);
     let serial = {
         let mut sched = Upgrader { ticks: 0 };
-        run_simulation(
+        run_simulation_reference(
             std::slice::from_ref(&spec),
             &mut sched,
             InstanceKind::G3s_xlarge,
             Catalog::table_ii(),
             &cfg,
+            None,
         )
     };
     assert!(serial.transitions >= 1, "scenario must exercise a switch");
@@ -200,7 +202,31 @@ fn parity_under_faults() {
     assert_parity(
         InstanceKind::G3s_xlarge,
         None,
-        &steady(MlModel::ResNet50, 50.0, 90),
+        &[steady(MlModel::ResNet50, 50.0, 90)],
+        &cfg,
+    );
+}
+
+#[test]
+fn parity_co_located_models_with_same_instant_arrivals() {
+    // Three arrival streams over 1 ms bins at 5 arrivals per bin each:
+    // arrivals of different models (and of one model) share microseconds
+    // often, so the merge's tie order is exercised against the heap's.
+    let dense = |model, rate| {
+        WorkloadSpec::new(
+            model,
+            RateTrace::constant(rate, SimDuration::from_secs(3), SimDuration::from_millis(1)),
+        )
+    };
+    let cfg = SimConfig::with_seed(16);
+    assert_parity(
+        InstanceKind::P3_2xlarge,
+        None,
+        &[
+            dense(MlModel::GoogleNet, 5_000.0),
+            dense(MlModel::MobileNet, 5_000.0),
+            dense(MlModel::SeNet18, 2_000.0),
+        ],
         &cfg,
     );
 }

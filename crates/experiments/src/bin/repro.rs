@@ -21,11 +21,10 @@
 //! plan-cache hit rate and appends an entry to `BENCH_repro.json` at the
 //! repo root.
 //!
-//! `--stress` skips the figure sweep and runs the partitioned engine at
-//! scale instead: 1000 Paldia tenants at 56 req/s each for 180 simulated
-//! seconds (~10.08 M requests on a 1000+-node elastic fleet), reporting
-//! wall-clock, engine events/s, and conservation — a workload the serial
-//! engine cannot turn around interactively.
+//! `--stress` skips the figure sweep and runs a sharded fleet at scale
+//! instead: 1000 Paldia tenants at 56 req/s each for 180 simulated seconds
+//! (~10.08 M requests on a 1000+-node elastic fleet), reporting
+//! wall-clock, engine events/s, and conservation.
 //!
 //! `--trace FILE` re-runs the primary evaluation setting with the
 //! observability sink attached and writes the capture as a

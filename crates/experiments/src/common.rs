@@ -111,11 +111,11 @@ impl SchemeKind {
 }
 
 /// The process-default shard count: `PALDIA_SHARDS` when set to a positive
-/// integer, else 1 (serial engine). Resolved here — not in the simulation
+/// integer, else 1 (no split). Resolved here — not in the simulation
 /// crates — so the engine itself stays free of environment reads. The env
 /// read is hatch-exempted like `PALDIA_JOBS` in `core::pool`: it only
-/// selects which engine runs, and the partitioned engine's output is
-/// bit-identical at every shard count (`tests/determinism_replay.rs` and
+/// sets how elastic multi-tenant fleets split across shards, and the
+/// output is bit-identical at every shard count (`tests/determinism_replay.rs` and
 /// the shard-invariance proptests prove it), so it cannot affect replay.
 pub fn default_shards() -> u32 {
     std::env::var("PALDIA_SHARDS") // lint:allow(d2)
@@ -138,8 +138,9 @@ pub struct RunOpts {
     pub faults: Option<FaultPlan>,
     /// Failover policy used with `faults`.
     pub failover: FailoverPolicyKind,
-    /// Event-loop shards per cell: `>= 2` selects the partitioned engine
-    /// (bit-identical output; see `paldia_cluster::run_simulation_sharded`).
+    /// Event-loop shards per cell: `>= 2` splits elastic multi-tenant
+    /// fleets across shards; every other run is one partition at every
+    /// count (bit-identical output; see `paldia_cluster::run_fleet_sharded`).
     /// Composes with `--jobs`: shards apply within a cell, pool jobs across
     /// cells, under one shared pool budget.
     pub shards: u32,

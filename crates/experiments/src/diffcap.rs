@@ -52,7 +52,8 @@ pub struct DiffRunOpts {
     pub config: PaldiaConfig,
     /// Optional deterministic fault schedule + failover policy.
     pub faults: Option<(FaultPlan, FailoverPolicyKind)>,
-    /// Event-loop shards (1 = serial engine).
+    /// Event-loop shards. A single-tenant run is one partition at every
+    /// count; `--shards` only splits elastic multi-tenant fleets.
     pub shards: u32,
 }
 
@@ -224,7 +225,7 @@ pub fn golden_path() -> PathBuf {
 }
 
 /// The golden scenario: [`GOLDEN_SEED`]/[`GOLDEN_SECS`], GoogleNet,
-/// default tunables, serial engine.
+/// default tunables, one shard.
 pub fn golden_opts() -> DiffRunOpts {
     DiffRunOpts {
         seed: GOLDEN_SEED,

@@ -12,7 +12,7 @@
 //!   pending node), and the four fault kinds alone and together;
 //! * the iteration-level LLM storm;
 //! * fleets over finite and elastic inventory, clean and faulted, on the
-//!   serial engine and (elastic) on the sharded one.
+//!   unsplit path and (elastic) split across shards.
 //!
 //! `repro --diff-golden` re-runs every scenario and compares against the
 //! committed file; `repro --bless-golden` (`scripts/rebless.sh`) rewrites

@@ -76,12 +76,13 @@ pub struct LlmRunOpts {
     pub iterative: bool,
     /// Apply [`llm_storm_plan`].
     pub storm: bool,
-    /// Event-loop shards (1 = serial engine).
+    /// Event-loop shards. A single-tenant run is one partition at every
+    /// count; `--shards` only splits elastic multi-tenant fleets.
     pub shards: u32,
 }
 
 impl LlmRunOpts {
-    /// The golden/smoke scenario: Paldia, iterative, storm, serial engine.
+    /// The golden/smoke scenario: Paldia, iterative, storm, one shard.
     pub fn golden() -> Self {
         LlmRunOpts {
             seed: LLM_GOLDEN_SEED,
@@ -207,9 +208,9 @@ pub struct LlmSmokeReport {
     pub seed: u64,
     /// Trace seconds.
     pub secs: u64,
-    /// Completed requests (iterative, serial engine).
+    /// Completed requests (iterative, one shard).
     pub completed: usize,
-    /// Unserved requests (iterative, serial engine).
+    /// Unserved requests (iterative, one shard).
     pub unserved: u64,
     /// Decision events in the iterative capture.
     pub decisions: usize,

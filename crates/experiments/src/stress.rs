@@ -1,6 +1,5 @@
 //! The `repro --stress` scenario: a fleet far beyond the paper's scale,
-//! intractable for the serial engine in one sitting, exercising the
-//! partitioned coordinator end to end.
+//! exercising the sharded fleet coordinator end to end.
 //!
 //! The full spec is 1000 tenants at 56 requests/s each for 180 simulated
 //! seconds — ~10.08 M requests on a 1000+-node elastic fleet. Scenario
@@ -96,9 +95,10 @@ pub struct StressOutcome {
     pub completed: u64,
     /// Requests still in flight / dropped at the horizon.
     pub unserved: u64,
-    /// Engine events dispatched across all shards. The only field that
-    /// may vary (slightly) with the shard count: each shard runs its own
-    /// keep-alive tick chain.
+    /// Events dispatched, summed over all shards. Superseded device wakes
+    /// are dropped by the partition calendar and never counted. The only
+    /// field that may vary (slightly) with the shard count: each shard
+    /// runs its own keep-alive tick chain.
     pub engine_events: u64,
     /// Distinct node leases across the fleet (≥ one per tenant).
     pub node_leases: u64,

@@ -53,7 +53,9 @@ pub struct TimingReport {
     pub commit: String,
     /// Worker cap the run executed with.
     pub jobs: usize,
-    /// Shard count the simulations executed with (1 = serial engine).
+    /// Shard count the simulations executed with. Only elastic
+    /// multi-tenant fleets split across shards; every other run is one
+    /// partition at every count.
     pub shards: u32,
     /// Seed base.
     pub seed: u64,

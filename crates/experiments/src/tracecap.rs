@@ -70,9 +70,10 @@ pub fn capture_primary_run_with(
     capture_primary_run_sharded(quick, seed, faults, sink, default_shards())
 }
 
-/// [`capture_primary_run_with`] with an explicit shard count (`>= 2` runs
-/// the partitioned engine; the captured span stream is identical either
-/// way, apart from the `RunSummary` dispatched-event count).
+/// [`capture_primary_run_with`] with an explicit shard count. The capture is
+/// a single-tenant run, which is one partition at every shard count, so
+/// the captured span stream — `RunSummary` dispatched-event count
+/// included — is identical at every count.
 pub fn capture_primary_run_sharded(
     quick: bool,
     seed: u64,

@@ -12,9 +12,9 @@
 //!   handlers only observe tenant-local state between barriers).
 //! * Cross-scope interleaving at one instant is *normalized* by sorting on
 //!   `(at, scope)`: fleet-global events (scope 0) first, then tenants in
-//!   global deployment order. The serial engine instead interleaves
-//!   same-instant events by its global heap order, so the merged stream is
-//!   invariant across shard counts of the partitioned path, not
+//!   global deployment order. An unsplit fleet run instead interleaves
+//!   same-instant events by its calendar's `(time, seq)` order, so the
+//!   merged stream is invariant across shard counts of split runs, not
 //!   byte-identical to `run_fleet_traced`.
 //! * Sequence numbers are re-assigned contiguously after the sort, so
 //!   downstream consumers ([`crate::TraceAttribution`], chrome export) see

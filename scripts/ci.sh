@@ -30,6 +30,9 @@
 #  13. perfbench tests       — the outside-in benchmark package (its own
 #      workspace) builds against the crates' public API and its tests pass,
 #      so an API break fails CI
+#  14. perfbench smoke        — one short llm-storm run at --trace 0, then
+#      --trace 1; each must end with a result line reporting
+#      "correct": true
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,5 +85,15 @@ cargo test --workspace -q
 
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 cargo test -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
+echo "==> perfbench smoke (llm-storm, --trace 0 then --trace 1)"
+for trace in 0 1; do
+    last=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+        --workload llm-storm --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+    if [[ "$last" != *'"correct": true'* ]]; then
+        echo "perfbench llm-storm --trace $trace is not correct: $last" >&2
+        exit 1
+    fi
+done
 
 echo "==> ci green"

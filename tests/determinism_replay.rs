@@ -92,14 +92,13 @@ fn replaying_a_grid_is_bit_identical() {
 
 /// The decision-event stream is part of the replay contract too — not
 /// just the metrics it produces. Two in-process captures of the same
-/// quick primary run, and a capture on the partitioned engine
-/// (shards = 3), must emit bit-identical decision streams: same ticks,
-/// same candidate tables, same flags, byte-for-byte in JSONL. The
-/// decision differ must agree, reporting an empty `DiffReport` in both
-/// directions for every pair. (`scripts/ci.sh` additionally reruns this
-/// test under `PALDIA_SHARDS=3`, which moves the *default*-shard paths
-/// onto the partitioned engine; the explicit shard counts here cover
-/// both engines regardless of the environment.)
+/// quick primary run, and a capture at shards = 3, must emit
+/// bit-identical decision streams: same ticks, same candidate tables,
+/// same flags, byte-for-byte in JSONL. The decision differ must agree,
+/// reporting an empty `DiffReport` in both directions for every pair.
+/// (`scripts/ci.sh` additionally reruns this test under
+/// `PALDIA_SHARDS=3`, which changes the *default* shard count; the
+/// explicit shard counts here cover both regardless of the environment.)
 #[test]
 fn decision_stream_replays_bit_identical_across_shards() {
     let seed = 1_000u64;
