@@ -206,8 +206,8 @@ mod tests {
     use paldia_traces::RateTrace;
     use proptest::prelude::*;
 
-    /// The rail the partitions built before streaming: every arrival of
-    /// tenants `base..`, sampled in full, stable-sorted by time.
+    /// The reference order: every arrival of tenants `base..`, sampled in
+    /// full, stable-sorted by time on a `Rail`.
     fn materialized_rail(seed: u64, base: usize, tenants: &[Vec<WorkloadSpec>]) -> Rail<Ev> {
         let mut sampler = Sampler::new(seed);
         // Earlier tenants consume root entropy and ids first.

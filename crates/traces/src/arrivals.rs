@@ -5,7 +5,7 @@
 //! random inside the bin, giving a non-homogeneous Poisson process whose
 //! intensity is the piecewise-constant trace.
 //!
-//! Each bin is drawn by one primitive ([`sample_bin`]). [`generate_arrivals`]
+//! Each bin is drawn by one primitive (`sample_bin`). [`generate_arrivals`]
 //! applies it to every bin up front; [`ArrivalStream`] applies it one bin at
 //! a time while a run consumes the arrivals, so both yield the identical
 //! timestamps from the same generator.
@@ -34,7 +34,7 @@ fn draw_bin<'r>(
 }
 
 /// Append bin `bin`'s arrivals to `out`, sorted.
-pub fn sample_bin(trace: &RateTrace, bin: usize, rng: &mut SimRng, out: &mut Vec<SimTime>) {
+fn sample_bin(trace: &RateTrace, bin: usize, rng: &mut SimRng, out: &mut Vec<SimTime>) {
     let from = out.len();
     out.extend(draw_bin(trace, bin, rng).map(SimTime::from_micros));
     out[from..].sort_unstable();
@@ -166,9 +166,9 @@ mod tests {
         assert_eq!(ArrivalStream::new(&trace, SimRng::new(1)).next(), None);
     }
 
-    /// The per-bin sampler as first written: a fresh `Vec<u64>` per bin,
-    /// sorted, then appended. Kept as the reference `generate_arrivals`
-    /// must reproduce.
+    /// A per-bin sampler that collects each bin into its own `Vec<u64>`,
+    /// sorts it, then appends it: the reference `generate_arrivals` must
+    /// reproduce.
     fn per_bin_reference(trace: &RateTrace, rng: &mut SimRng) -> Vec<SimTime> {
         let bin_us = trace.bin_width().as_micros().max(1);
         let bin_s = trace.bin_width().as_secs_f64();

@@ -32,7 +32,7 @@ pub mod trace;
 pub mod twitter;
 pub mod wiki;
 
-pub use arrivals::{count_arrivals, generate_arrivals, sample_bin, ArrivalStream};
+pub use arrivals::{count_arrivals, generate_arrivals, ArrivalStream};
 pub use ewma::{EwmaPredictor, RateWindow};
 pub use io::{read_trace, write_trace, TraceIoError};
 pub use predictor::{Predictor, PredictorKind};
