@@ -1443,10 +1443,10 @@ pub fn run_simulation(
     )
 }
 
-/// [`run_simulation`] with a shard count. A single-tenant run is one
-/// partition, so `shards` does not change how it runs or what it returns;
-/// only elastic multi-tenant fleets split across shards (see
-/// [`crate::fleet::shard`]).
+/// [`run_simulation`] under its older signature, kept for the benchmark
+/// harness (`perfbench/`) that calls it. It ignores its last argument: a
+/// single-tenant run is one partition, and only elastic multi-tenant fleets
+/// split across shards (see [`crate::fleet::shard`]).
 pub fn run_simulation_sharded(
     workloads: &[WorkloadSpec],
     scheduler: &mut dyn Scheduler,
@@ -1482,20 +1482,6 @@ pub fn run_simulation_traced(
     );
     scheduler.set_decision_recording(false);
     result
-}
-
-/// [`run_simulation_traced`] with a shard count, which a single-tenant run
-/// ignores (see [`run_simulation_sharded`]).
-pub fn run_simulation_traced_sharded(
-    workloads: &[WorkloadSpec],
-    scheduler: &mut dyn Scheduler,
-    initial_hw: InstanceKind,
-    catalog: Catalog,
-    cfg: &SimConfig,
-    sink: &mut dyn TraceSink,
-    _shards: u32,
-) -> RunResult {
-    run_simulation_traced(workloads, scheduler, initial_hw, catalog, cfg, sink)
 }
 
 /// The tenant and harness of a single-tenant run: a fleet of one over

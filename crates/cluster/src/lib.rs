@@ -54,10 +54,7 @@ pub use faults::{
 };
 pub use fleet::shard::{run_fleet_sharded, run_fleet_sharded_stats, run_fleet_traced_sharded};
 pub use fleet::{run_fleet, run_fleet_traced, FleetDeployment};
-pub use harness::{
-    run_simulation, run_simulation_sharded, run_simulation_traced, run_simulation_traced_sharded,
-    WorkloadSpec,
-};
+pub use harness::{run_simulation, run_simulation_sharded, run_simulation_traced, WorkloadSpec};
 pub use policy::{Decision, ModelDecision, ModelObs, Observation, Scheduler};
 pub use replay::{instance_from_token, model_from_token, model_token, ParseError, RecordedTrace};
 pub use request::{Batch, BatchId, CompletedRequest, Request, RequestId};

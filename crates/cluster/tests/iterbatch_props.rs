@@ -4,15 +4,15 @@
 //! only join and leave the running batch at iteration boundaries, the KV
 //! cache is a hard capacity bound at every instant, every request does
 //! exactly the work its token card prescribes, and none of it depends on
-//! which driver (the partition engine at any shard count, or the serial
-//! reference) runs the events. Each property
+//! which driver (the partition engine, or the serial reference) runs the
+//! events. Each property
 //! replays full end-to-end simulations over generated seeds/rates and
 //! audits the emitted `IterationStarted`/`BatchJoin`/`BatchLeave` stream.
 
 use paldia_cluster::reference::run_simulation_reference;
 use paldia_cluster::{
-    run_simulation_traced_sharded, Decision, ModelDecision, Observation, RunResult, Scheduler,
-    SimConfig, WorkloadSpec,
+    run_simulation_traced, Decision, ModelDecision, Observation, RunResult, Scheduler, SimConfig,
+    WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_obs::{TraceEvent, TraceEventKind, VecSink};
@@ -54,7 +54,7 @@ impl Scheduler for Fixed {
 #[derive(Clone, Copy)]
 enum Driver {
     /// The partition engine, through the public entry point.
-    Shards(u32),
+    Engine,
     /// The serial reference: every arrival up front on one heap.
     Reference,
 }
@@ -83,9 +83,7 @@ fn run_llm(
     let mut sink = VecSink::new();
     let (hw, catalog) = (InstanceKind::P3_2xlarge, Catalog::table_ii());
     let result = match driver {
-        Driver::Shards(n) => {
-            run_simulation_traced_sharded(&specs, &mut sched, hw, catalog, &cfg, &mut sink, n)
-        }
+        Driver::Engine => run_simulation_traced(&specs, &mut sched, hw, catalog, &cfg, &mut sink),
         Driver::Reference => {
             run_simulation_reference(&specs, &mut sched, hw, catalog, &cfg, Some(&mut sink))
         }
@@ -114,7 +112,7 @@ proptest! {
     /// `BatchLeave` appears on that worker before the boundary instant.
     #[test]
     fn no_join_or_leave_mid_iteration(seed in 1u64..5_000, rps in 10u64..60) {
-        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
+        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Engine);
         // Per worker: end of the in-flight iteration, if any.
         let mut open: BTreeMap<u32, SimTime> = BTreeMap::new();
         let mut saw_iteration = false;
@@ -152,7 +150,7 @@ proptest! {
     /// never exceeds the device capacity.
     #[test]
     fn kv_occupancy_never_exceeds_capacity(seed in 1u64..5_000, rps in 10u64..80) {
-        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
+        let (_, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Engine);
         // Ledger: per worker, resident KV; per request, its reserved KV.
         let mut kv: BTreeMap<u32, u64> = BTreeMap::new();
         let mut reserved: BTreeMap<u64, u64> = BTreeMap::new();
@@ -192,7 +190,7 @@ proptest! {
     /// pure `(seed, request id)` hash — no sampling state to drift).
     #[test]
     fn per_request_token_conservation(seed in 1u64..5_000, rps in 10u64..60) {
-        let (result, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Shards(1));
+        let (result, events) = run_llm(seed, rps as f64, (rps / 2).max(5) as f64, 8, Driver::Engine);
         let mut joined: BTreeMap<u64, u64> = BTreeMap::new();
         let mut leaves = 0u64;
         for e in iter_events(&events) {
@@ -229,24 +227,17 @@ proptest! {
     }
 
     /// Engine-reorder invariance: the serial reference and the partition
-    /// engine (any shard count), plus an in-process rerun, emit the
-    /// bit-identical iteration event stream — same times, same sequence
-    /// numbers, same payloads.
+    /// engine, plus an in-process rerun, emit the bit-identical iteration
+    /// event stream — same times, same sequence numbers, same payloads.
     #[test]
     fn iteration_stream_is_engine_invariant(seed in 1u64..2_000, rps in 10u64..40) {
         let run = |driver| run_llm(seed, rps as f64, 8.0, 6, driver);
         let (r1, e1) = run(Driver::Reference);
-        let (r2, e2) = run(Driver::Shards(2));
-        let (r3, e3) = run(Driver::Shards(3));
-        let (r1b, e1b) = run(Driver::Shards(1));
-        let (r1c, e1c) = run(Driver::Shards(1));
-        prop_assert_eq!(&e1, &e2, "reference vs 2-shard trace streams diverge");
-        prop_assert_eq!(&e1, &e3, "reference vs 3-shard trace streams diverge");
-        prop_assert_eq!(&e1, &e1b, "reference vs 1-shard trace streams diverge");
-        prop_assert_eq!(&e1b, &e1c, "in-process rerun diverges");
+        let (r2, e2) = run(Driver::Engine);
+        let (r2b, e2b) = run(Driver::Engine);
+        prop_assert_eq!(&e1, &e2, "reference vs engine trace streams diverge");
+        prop_assert_eq!(&e2, &e2b, "in-process rerun diverges");
         prop_assert_eq!(&r1.completed, &r2.completed);
-        prop_assert_eq!(&r1.completed, &r3.completed);
-        prop_assert_eq!(&r1.completed, &r1b.completed);
-        prop_assert_eq!(&r1b.completed, &r1c.completed);
+        prop_assert_eq!(&r2.completed, &r2b.completed);
     }
 }

@@ -6,15 +6,15 @@
 //! arrival up front onto one `EventQueue` and runs `run_until` over the
 //! same event handler — same completions in the same order, same costs,
 //! same node stats, same timelines — across clean runs, overload, hardware
-//! transitions, and every fault kind, at every shard count. The
+//! transitions, and every fault kind. The
 //! comparison goes through `format!("{:?}")`, which for `f64` prints the
 //! shortest round-trip representation and therefore distinguishes any two
 //! different bit patterns outside of NaN/signed-zero (neither occurs here).
 
 use paldia_cluster::reference::run_simulation_reference;
 use paldia_cluster::{
-    run_simulation, run_simulation_sharded, Decision, FailoverPolicyKind, FaultPlan, ModelDecision,
-    Observation, RunResult, Scheduler, SimConfig, WorkloadSpec,
+    run_simulation, Decision, FailoverPolicyKind, FaultPlan, ModelDecision, Observation, RunResult,
+    Scheduler, SimConfig, WorkloadSpec,
 };
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_sim::{SimDuration, SimTime};
@@ -69,23 +69,18 @@ fn assert_parity(
         let mut sched = Fixed { hw, total_cap };
         run_simulation_reference(specs, &mut sched, hw, Catalog::table_ii(), cfg, None)
     };
-    let plain = {
+    let lean = {
         let mut sched = Fixed { hw, total_cap };
         run_simulation(specs, &mut sched, hw, Catalog::table_ii(), cfg)
     };
-    assert_identical(&serial, &plain, 1);
-    for shards in [2u32, 7] {
-        let mut sched = Fixed { hw, total_cap };
-        let lean = run_simulation_sharded(specs, &mut sched, hw, Catalog::table_ii(), cfg, shards);
-        assert_identical(&serial, &lean, shards);
-    }
+    assert_identical(&serial, &lean);
 }
 
-fn assert_identical(serial: &RunResult, lean: &RunResult, shards: u32) {
+fn assert_identical(serial: &RunResult, lean: &RunResult) {
     assert_eq!(
         serial.completed.len(),
         lean.completed.len(),
-        "completion count diverged at shards={shards}"
+        "completion count diverged"
     );
     let a = format!("{serial:?}");
     let b = format!("{lean:?}");
@@ -98,7 +93,7 @@ fn assert_identical(serial: &RunResult, lean: &RunResult, shards: u32) {
             .unwrap_or(a.len().min(b.len()));
         let lo = at.saturating_sub(80);
         panic!(
-            "engines diverged at shards={shards}, byte {at}:\n serial: …{}…\n lean:   …{}…",
+            "engines diverged at byte {at}:\n serial: …{}…\n lean:   …{}…",
             &a[lo..(at + 80).min(a.len())],
             &b[lo..(at + 80).min(b.len())]
         );
@@ -177,15 +172,14 @@ fn parity_under_hardware_transition() {
     };
     assert!(serial.transitions >= 1, "scenario must exercise a switch");
     let mut sched = Upgrader { ticks: 0 };
-    let lean = run_simulation_sharded(
+    let lean = run_simulation(
         &[spec],
         &mut sched,
         InstanceKind::G3s_xlarge,
         Catalog::table_ii(),
         &cfg,
-        2,
     );
-    assert_identical(&serial, &lean, 2);
+    assert_identical(&serial, &lean);
 }
 
 #[test]

@@ -15,9 +15,9 @@
 //! (the paper uses five) and shortened heavy traces. Experiments execute on
 //! the bounded worker pool (`--jobs N` / `PALDIA_JOBS` override the cap;
 //! parallel output is bit-identical to `--jobs 1`). `--shards N` /
-//! `PALDIA_SHARDS` set the intra-run partition count for fleet simulations
-//! (results are invariant across shard counts; shards compose with
-//! `--jobs`). `--timings` prints per-figure wall-clock plus the y-search
+//! `PALDIA_SHARDS` set the partition count of the `--stress` fleet, the
+//! one elastic multi-tenant fleet the binary splits (results are invariant
+//! across shard counts; shards compose with `--jobs`). `--timings` prints per-figure wall-clock plus the y-search
 //! plan-cache hit rate and appends an entry to `BENCH_repro.json` at the
 //! repo root.
 //!
@@ -61,10 +61,11 @@
 //! plus a continuous-batching-aware fixed baseline, on the token-card
 //! workloads under a cold-start storm — the LLM experiment is opt-in and
 //! never part of the default sweep. `--llm-smoke` is the CI gate for the
-//! same scenario: it runs quick at shards 1 and 3, diffs the decision
-//! streams in both directions (both must be empty), writes the headline
-//! numbers to `target/llm-report.json` (`--report FILE` overrides), and
-//! exits 1 on any shard divergence. The LLM golden decision log
+//! same scenario: it runs quick on the partition engine and on the
+//! reference driver (every arrival sampled up front onto one serial heap),
+//! diffs the decision streams in both directions (both must be empty),
+//! writes the headline numbers to `target/llm-report.json` (`--report
+//! FILE` overrides), and exits 1 if the two drivers diverge. The LLM golden decision log
 //! (`tests/golden/decision_log_llm.jsonl`) is blessed and gated by the
 //! same `--bless-golden` / `--diff-golden` flags as the quick log, and so
 //! are the run fingerprints (`tests/golden/run_fingerprints.txt`: one
@@ -286,7 +287,6 @@ fn run_file_diff(path_a: &str, path_b: &str) -> ! {
 fn run_diff_flip(
     quick: bool,
     seed: u64,
-    shards: u32,
     faults: Option<(FaultPlan, FailoverPolicyKind)>,
     spec: &str,
 ) -> ! {
@@ -298,7 +298,6 @@ fn run_diff_flip(
         std::process::exit(2);
     };
     let mut base = diffcap::DiffRunOpts::quick(seed);
-    base.shards = shards;
     base.faults = faults;
     if !quick {
         base.capture_secs = 0; // full-day trace
@@ -395,12 +394,13 @@ fn run_golden_gate() -> ! {
     std::process::exit(1);
 }
 
-/// `--llm-smoke`: the iteration-level CI gate — quick LLM storm at shards
-/// 1 and 3, decision streams diffed both directions, headline numbers
-/// written as JSON. Exits 1 on any shard divergence.
+/// `--llm-smoke`: the iteration-level CI gate — quick LLM storm on the
+/// partition engine and on the reference driver, decision streams diffed
+/// both directions, headline numbers written as JSON. Exits 1 if the two
+/// drivers diverge.
 fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
     println!(
-        "llm smoke — iterative storm scenario, seed {seed}, {}s, shards 1 vs 3",
+        "llm smoke — iterative storm scenario, seed {seed}, {}s, engine vs reference driver",
         llm_iter::LLM_GOLDEN_SECS
     );
     let report = llm_iter::run_llm_smoke(seed);
@@ -422,11 +422,13 @@ fn run_llm_smoke_cmd(seed: u64, report_path: &str) -> ! {
             std::process::exit(2);
         }
     }
-    if report.shard_invariant {
-        println!("llm smoke OK: shards 1 and 3 bit-identical, decision diffs empty both ways");
+    if report.engine_matches_reference {
+        println!(
+            "llm smoke OK: engine and reference driver bit-identical, decision diffs empty both ways"
+        );
         std::process::exit(0);
     }
-    eprintln!("llm smoke FAILED: shard 1 and shard 3 runs diverged");
+    eprintln!("llm smoke FAILED: the engine and the reference driver diverged");
     std::process::exit(1);
 }
 
@@ -439,6 +441,7 @@ fn main() {
     } else {
         RunOpts::full()
     };
+    let mut shards = common::default_shards();
     let mut label = String::from("repro");
     let mut flag_values = Vec::new();
     if let Some(i) = args.iter().position(|a| a == "--seed") {
@@ -456,7 +459,7 @@ fn main() {
     if let Some(i) = args.iter().position(|a| a == "--shards") {
         match args.get(i + 1).and_then(|v| v.parse::<u32>().ok()) {
             Some(n) if n >= 1 => {
-                opts.shards = n;
+                shards = n;
                 flag_values.push(i + 1);
             }
             _ => {
@@ -466,7 +469,7 @@ fn main() {
         }
     }
     if args.iter().any(|a| a == "--stress") {
-        run_stress_report(opts.shards);
+        run_stress_report(shards);
         return;
     }
     if let Some(i) = args.iter().position(|a| a == "--faults") {
@@ -506,7 +509,6 @@ fn main() {
         run_diff_flip(
             quick,
             opts.seed_base,
-            opts.shards,
             opts.faults.clone().map(|plan| (plan, opts.failover)),
             spec,
         );
@@ -670,7 +672,7 @@ fn main() {
         opts.reps,
         opts.seed_base,
         pool::max_jobs(),
-        opts.shards
+        shards
     );
     println!("{}", "=".repeat(72));
 
@@ -759,7 +761,7 @@ fn main() {
             mode: if quick { "quick" } else { "full" }.to_string(),
             commit: current_commit(),
             jobs: pool::max_jobs(),
-            shards: opts.shards,
+            shards,
             seed: opts.seed_base,
             total_s,
             figures: figure_times,

@@ -2,13 +2,15 @@
 //! repetition handling, and the paper-vs-measured report format.
 
 use paldia_baselines::{InflessLlama, Molecule, MpsOnly, OfflineHybrid, TimeSharedOnly, Variant};
+use paldia_cluster::reference::run_simulation_reference;
 use paldia_cluster::{
-    run_simulation_sharded, FailoverPolicyKind, FaultPlan, ModelObs, Observation, RunResult,
-    Scheduler, SimConfig, WorkloadSpec,
+    run_simulation, run_simulation_traced, FailoverPolicyKind, FaultPlan, ModelObs, Observation,
+    RunResult, Scheduler, SimConfig, WorkloadSpec,
 };
 use paldia_core::PaldiaScheduler;
 use paldia_hw::{Catalog, InstanceKind};
 use paldia_metrics::average_with_outlier_rejection;
+use paldia_obs::TraceSink;
 use paldia_sim::SimTime;
 use paldia_traces::RateTrace;
 use paldia_workloads::MlModel;
@@ -110,19 +112,60 @@ impl SchemeKind {
     }
 }
 
-/// The process-default shard count: `PALDIA_SHARDS` when set to a positive
-/// integer, else 1 (no split). Resolved here — not in the simulation
-/// crates — so the engine itself stays free of environment reads. The env
-/// read is hatch-exempted like `PALDIA_JOBS` in `core::pool`: it only
-/// sets how elastic multi-tenant fleets split across shards, and the
-/// output is bit-identical at every shard count (`tests/determinism_replay.rs` and
-/// the shard-invariance proptests prove it), so it cannot affect replay.
+/// The process-default shard count for `repro --stress`: `PALDIA_SHARDS`
+/// when set to a positive integer, else 1 (no split). Resolved here — not
+/// in the simulation crates — so the engine itself stays free of
+/// environment reads. The env read is hatch-exempted like `PALDIA_JOBS` in
+/// `core::pool`: it only sets how an elastic multi-tenant fleet splits
+/// across shards, and the output is bit-identical at every shard count
+/// (`tests/shard_invariance.rs` proves it), so it cannot affect replay.
 pub fn default_shards() -> u32 {
     std::env::var("PALDIA_SHARDS") // lint:allow(d2)
         .ok()
         .and_then(|v| v.parse::<u32>().ok())
         .filter(|&n| n > 0)
         .unwrap_or(1)
+}
+
+/// Which driver runs a single-tenant simulation. Every production run is
+/// on the partition engine; the reference driver
+/// ([`paldia_cluster::reference`]) runs the same harness on one serial
+/// heap with every arrival sampled up front. The parity gates
+/// (`repro --llm-smoke`, the `repro --llm` invariance check, the
+/// determinism tests) run a scenario on both and demand equal output.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Driver {
+    /// The partition engine ([`run_simulation`] / [`run_simulation_traced`]).
+    #[default]
+    Engine,
+    /// The reference driver ([`run_simulation_reference`]).
+    Reference,
+}
+
+impl Driver {
+    /// Run one single-tenant simulation on this driver, traced when `sink`
+    /// is given.
+    pub fn run(
+        self,
+        workloads: &[WorkloadSpec],
+        scheduler: &mut dyn Scheduler,
+        initial_hw: InstanceKind,
+        catalog: Catalog,
+        cfg: &SimConfig,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> RunResult {
+        match (self, sink) {
+            (Driver::Engine, None) => {
+                run_simulation(workloads, scheduler, initial_hw, catalog, cfg)
+            }
+            (Driver::Engine, Some(sink)) => {
+                run_simulation_traced(workloads, scheduler, initial_hw, catalog, cfg, sink)
+            }
+            (Driver::Reference, sink) => {
+                run_simulation_reference(workloads, scheduler, initial_hw, catalog, cfg, sink)
+            }
+        }
+    }
 }
 
 /// Global run options for the reproduction harness.
@@ -138,12 +181,6 @@ pub struct RunOpts {
     pub faults: Option<FaultPlan>,
     /// Failover policy used with `faults`.
     pub failover: FailoverPolicyKind,
-    /// Event-loop shards per cell: `>= 2` splits elastic multi-tenant
-    /// fleets across shards; every other run is one partition at every
-    /// count (bit-identical output; see `paldia_cluster::run_fleet_sharded`).
-    /// Composes with `--jobs`: shards apply within a cell, pool jobs across
-    /// cells, under one shared pool budget.
-    pub shards: u32,
 }
 
 impl RunOpts {
@@ -154,7 +191,6 @@ impl RunOpts {
             seed_base: 1_000,
             faults: None,
             failover: FailoverPolicyKind::default(),
-            shards: default_shards(),
         }
     }
 
@@ -165,7 +201,6 @@ impl RunOpts {
             seed_base: 1_000,
             faults: None,
             failover: FailoverPolicyKind::default(),
-            shards: default_shards(),
         }
     }
 
@@ -177,34 +212,16 @@ impl RunOpts {
     }
 }
 
-/// Run one scheme for one repetition on [`default_shards`] shards.
+/// Run one scheme for one repetition.
 pub fn run_once(
     scheme: &SchemeKind,
     workloads: &[WorkloadSpec],
     catalog: &Catalog,
     cfg: &SimConfig,
 ) -> RunResult {
-    run_once_sharded(scheme, workloads, catalog, cfg, default_shards())
-}
-
-/// Run one scheme for one repetition with an explicit shard count.
-pub fn run_once_sharded(
-    scheme: &SchemeKind,
-    workloads: &[WorkloadSpec],
-    catalog: &Catalog,
-    cfg: &SimConfig,
-    shards: u32,
-) -> RunResult {
     let mut policy = scheme.build(workloads);
     let initial = scheme.initial_hw(workloads, catalog, cfg.slo_ms);
-    run_simulation_sharded(
-        workloads,
-        policy.as_mut(),
-        initial,
-        catalog.clone(),
-        cfg,
-        shards,
-    )
+    run_simulation(workloads, policy.as_mut(), initial, catalog.clone(), cfg)
 }
 
 /// Run `opts.reps` repetitions with derived seeds. Routed through the

@@ -17,9 +17,7 @@ use std::path::{Path, PathBuf};
 
 use crate::common::SchemeKind;
 use crate::scenarios;
-use paldia_cluster::{
-    run_simulation_traced_sharded, FailoverPolicyKind, FaultPlan, RunResult, SimConfig,
-};
+use paldia_cluster::{run_simulation_traced, FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
 use paldia_core::{PaldiaConfig, PaldiaScheduler};
 use paldia_hw::Catalog;
 use paldia_obs::{
@@ -52,14 +50,11 @@ pub struct DiffRunOpts {
     pub config: PaldiaConfig,
     /// Optional deterministic fault schedule + failover policy.
     pub faults: Option<(FaultPlan, FailoverPolicyKind)>,
-    /// Event-loop shards. A single-tenant run is one partition at every
-    /// count; `--shards` only splits elastic multi-tenant fleets.
-    pub shards: u32,
 }
 
 impl DiffRunOpts {
-    /// The quick setting: default config, 120 s truncated trace, serial
-    /// engine — the same scenario as `repro --trace`'s quick capture.
+    /// The quick setting: default config, 120 s truncated trace — the same
+    /// scenario as `repro --trace`'s quick capture.
     pub fn quick(seed: u64) -> Self {
         DiffRunOpts {
             seed,
@@ -67,7 +62,6 @@ impl DiffRunOpts {
             model: MlModel::GoogleNet,
             config: PaldiaConfig::default(),
             faults: None,
-            shards: 1,
         }
     }
 }
@@ -95,15 +89,7 @@ pub fn capture_decision_run(opts: &DiffRunOpts) -> (Vec<TraceEvent>, RunResult) 
     // scheduler's own doing.
     let initial = SchemeKind::Paldia.initial_hw(&workloads, &catalog, cfg.slo_ms);
     let mut sink = VecSink::new();
-    let result = run_simulation_traced_sharded(
-        &workloads,
-        &mut sched,
-        initial,
-        catalog,
-        &cfg,
-        &mut sink,
-        opts.shards,
-    );
+    let result = run_simulation_traced(&workloads, &mut sched, initial, catalog, &cfg, &mut sink);
     (sink.into_events(), result)
 }
 
@@ -225,7 +211,7 @@ pub fn golden_path() -> PathBuf {
 }
 
 /// The golden scenario: [`GOLDEN_SEED`]/[`GOLDEN_SECS`], GoogleNet,
-/// default tunables, one shard.
+/// default tunables.
 pub fn golden_opts() -> DiffRunOpts {
     DiffRunOpts {
         seed: GOLDEN_SEED,
@@ -233,7 +219,6 @@ pub fn golden_opts() -> DiffRunOpts {
         model: MlModel::GoogleNet,
         config: PaldiaConfig::default(),
         faults: None,
-        shards: 1,
     }
 }
 

@@ -40,5 +40,5 @@ pub mod table3_mixed;
 pub mod timings;
 pub mod tracecap;
 
-pub use common::{Check, ExperimentReport, RunOpts, SchemeKind};
+pub use common::{Check, Driver, ExperimentReport, RunOpts, SchemeKind};
 pub use runner::{run_grid, GridCell};

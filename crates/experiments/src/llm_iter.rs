@@ -11,17 +11,15 @@
 //! runs the two modes head-to-head — Paldia under both, plus a
 //! continuous-batching-aware fixed baseline (INFless/Llama `$` under the
 //! iterative device) — and hosts the LLM golden decision log and the
-//! `llm-smoke` CI gate (shards 1 vs 3, decision streams diffed both ways).
+//! `llm-smoke` CI gate (the partition engine vs the reference driver,
+//! decision streams diffed both ways).
 
 use std::path::{Path, PathBuf};
 
-use crate::common::{Check, ExperimentReport, RunOpts, SchemeKind};
+use crate::common::{Check, Driver, ExperimentReport, RunOpts, SchemeKind};
 use crate::scenarios;
 use paldia_baselines::Variant;
-use paldia_cluster::{
-    run_simulation_sharded, run_simulation_traced_sharded, FailoverPolicyKind, FaultPlan,
-    RunResult, SimConfig, WorkloadSpec,
-};
+use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult, SimConfig, WorkloadSpec};
 use paldia_hw::Catalog;
 use paldia_metrics::{percentile, TextTable};
 use paldia_obs::{
@@ -61,8 +59,8 @@ pub fn llm_workloads(seed: u64, secs: u64) -> Vec<WorkloadSpec> {
         .collect()
 }
 
-/// One LLM run: which scheme, which device mode, storm or clean, how many
-/// event-loop shards.
+/// One LLM run: which scheme, which device mode, storm or clean, which
+/// driver.
 #[derive(Clone, Debug)]
 pub struct LlmRunOpts {
     /// RNG seed (trace sample, token cards, simulation).
@@ -76,13 +74,14 @@ pub struct LlmRunOpts {
     pub iterative: bool,
     /// Apply [`llm_storm_plan`].
     pub storm: bool,
-    /// Event-loop shards. A single-tenant run is one partition at every
-    /// count; `--shards` only splits elastic multi-tenant fleets.
-    pub shards: u32,
+    /// The partition engine, or the reference driver the parity gates
+    /// compare it against.
+    pub driver: Driver,
 }
 
 impl LlmRunOpts {
-    /// The golden/smoke scenario: Paldia, iterative, storm, one shard.
+    /// The golden/smoke scenario: Paldia, iterative, storm, partition
+    /// engine.
     pub fn golden() -> Self {
         LlmRunOpts {
             seed: LLM_GOLDEN_SEED,
@@ -90,7 +89,7 @@ impl LlmRunOpts {
             scheme: SchemeKind::Paldia,
             iterative: true,
             storm: true,
-            shards: 1,
+            driver: Driver::Engine,
         }
     }
 
@@ -113,7 +112,8 @@ pub fn run_llm(opts: &LlmRunOpts) -> RunResult {
     let cfg = opts.config();
     let mut sched = opts.scheme.build(&workloads);
     let initial = opts.scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run_simulation_sharded(&workloads, &mut *sched, initial, catalog, &cfg, opts.shards)
+    let driver = opts.driver;
+    driver.run(&workloads, &mut *sched, initial, catalog, &cfg, None)
 }
 
 /// Run one side with the observability sink attached (decision events
@@ -125,14 +125,14 @@ pub fn capture_llm_run(opts: &LlmRunOpts) -> (Vec<TraceEvent>, RunResult) {
     let mut sched = opts.scheme.build(&workloads);
     let initial = opts.scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
     let mut sink = VecSink::new();
-    let result = run_simulation_traced_sharded(
+    let driver = opts.driver;
+    let result = driver.run(
         &workloads,
         &mut *sched,
         initial,
         catalog,
         &cfg,
-        &mut sink,
-        opts.shards,
+        Some(&mut sink),
     );
     (sink.into_events(), result)
 }
@@ -199,18 +199,19 @@ pub fn llm_golden_gate() -> Result<DiffReport, String> {
     Ok(diff_decision_streams(&committed, &current))
 }
 
-/// What `repro --llm-smoke` measures: the quick LLM scenario at shards 1
-/// and 3, decision streams diffed both directions, plus the two modes'
-/// headline numbers for `target/llm-report.json`.
+/// What `repro --llm-smoke` measures: the quick LLM scenario on the
+/// partition engine and on the reference driver, decision streams diffed
+/// both directions, plus the two modes' headline numbers for
+/// `target/llm-report.json`.
 #[derive(Clone, Debug)]
 pub struct LlmSmokeReport {
     /// Seed of the smoke scenario.
     pub seed: u64,
     /// Trace seconds.
     pub secs: u64,
-    /// Completed requests (iterative, one shard).
+    /// Completed requests (iterative, partition engine).
     pub completed: usize,
-    /// Unserved requests (iterative, one shard).
+    /// Unserved requests (iterative, partition engine).
     pub unserved: u64,
     /// Decision events in the iterative capture.
     pub decisions: usize,
@@ -218,9 +219,10 @@ pub struct LlmSmokeReport {
     pub p99_token_ms_iterative: f64,
     /// P99 token latency, request-level mode, ms.
     pub p99_token_ms_request_level: f64,
-    /// True when shards 1 and 3 produced bit-identical event streams and
-    /// both decision diffs came back empty.
-    pub shard_invariant: bool,
+    /// True when the partition engine and the reference driver produced
+    /// bit-identical event streams and both decision diffs came back
+    /// empty.
+    pub engine_matches_reference: bool,
 }
 
 impl LlmSmokeReport {
@@ -230,7 +232,7 @@ impl LlmSmokeReport {
         format!(
             "{{\n  \"seed\": {},\n  \"secs\": {},\n  \"completed\": {},\n  \"unserved\": {},\n  \
              \"decisions\": {},\n  \"p99_token_ms_iterative\": {:.6},\n  \
-             \"p99_token_ms_request_level\": {:.6},\n  \"shard_invariant\": {}\n}}\n",
+             \"p99_token_ms_request_level\": {:.6},\n  \"engine_matches_reference\": {}\n}}\n",
             self.seed,
             self.secs,
             self.completed,
@@ -238,28 +240,32 @@ impl LlmSmokeReport {
             self.decisions,
             self.p99_token_ms_iterative,
             self.p99_token_ms_request_level,
-            self.shard_invariant
+            self.engine_matches_reference
         )
     }
 }
 
-/// Run the `llm-smoke` gate: quick LLM scenario at shards 1 and 3, event
-/// streams compared bit for bit, decision streams diffed in both
-/// directions (an asymmetric differ bug would pass one way).
+/// Run the `llm-smoke` gate: quick LLM scenario on the partition engine and
+/// on the reference driver, event streams compared bit for bit, decision
+/// streams diffed in both directions (an asymmetric differ bug would pass
+/// one way).
 pub fn run_llm_smoke(seed: u64) -> LlmSmokeReport {
     let base = LlmRunOpts {
         seed,
         ..LlmRunOpts::golden()
     };
-    let sharded = LlmRunOpts {
-        shards: 3,
+    let reference = LlmRunOpts {
+        driver: Driver::Reference,
         ..base.clone()
     };
     let (e1, r1) = capture_llm_run(&base);
-    let (e3, _r3) = capture_llm_run(&sharded);
-    let forward = diff_decision_streams(&e1, &e3);
-    let backward = diff_decision_streams(&e3, &e1);
-    let shard_invariant = e1 == e3 && forward.is_empty() && backward.is_empty();
+    let (er, rr) = capture_llm_run(&reference);
+    let forward = diff_decision_streams(&e1, &er);
+    let backward = diff_decision_streams(&er, &e1);
+    let engine_matches_reference = e1 == er
+        && format!("{r1:?}") == format!("{rr:?}")
+        && forward.is_empty()
+        && backward.is_empty();
     let request_level = run_llm(&LlmRunOpts {
         iterative: false,
         ..base
@@ -276,14 +282,14 @@ pub fn run_llm_smoke(seed: u64) -> LlmSmokeReport {
         decisions,
         p99_token_ms_iterative: p99_token_latency_ms(&r1, seed),
         p99_token_ms_request_level: p99_token_latency_ms(&request_level, seed),
-        shard_invariant,
+        engine_matches_reference,
     }
 }
 
 /// The `repro --llm` experiment: the storm scenario under three schemes —
 /// Paldia with continuous batching, Paldia with the request-level batcher,
 /// and the continuous-batching-aware INFless/Llama `$` baseline — plus the
-/// engine-invariance cross-check at shards {1, 2, 3}.
+/// cross-check of the partition engine against the reference driver.
 pub fn run(opts: &RunOpts) -> ExperimentReport {
     let secs = if opts.reps <= 1 { 180 } else { 600 };
     let seed = opts.seed_base;
@@ -293,7 +299,7 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
         scheme: SchemeKind::Paldia,
         iterative: true,
         storm: true,
-        shards: 1,
+        driver: Driver::Engine,
     };
 
     let paldia_iter = run_llm(&base);
@@ -305,12 +311,8 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
         scheme: SchemeKind::InflessLlama(Variant::CostEffective),
         ..base.clone()
     });
-    let iter_s2 = run_llm(&LlmRunOpts {
-        shards: 2,
-        ..base.clone()
-    });
-    let iter_s3 = run_llm(&LlmRunOpts {
-        shards: 3,
+    let iter_ref = run_llm(&LlmRunOpts {
+        driver: Driver::Reference,
         ..base.clone()
     });
 
@@ -339,10 +341,7 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
 
     let p99_iter = p99_token_latency_ms(&paldia_iter, seed);
     let p99_rl = p99_token_latency_ms(&paldia_rl, seed);
-    let invariant = paldia_iter.completed == iter_s2.completed
-        && paldia_iter.completed == iter_s3.completed
-        && paldia_iter.unserved == iter_s2.unserved
-        && paldia_iter.unserved == iter_s3.unserved;
+    let matches_reference = format!("{paldia_iter:?}") == format!("{iter_ref:?}");
 
     let checks = vec![
         Check {
@@ -353,15 +352,14 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
             holds: p99_iter < p99_rl,
         },
         Check {
-            what: "LLM mode is engine-invariant across shards {1,2,3}".into(),
+            what: "LLM mode: the partition engine matches the reference driver".into(),
             paper: "bit-identical by construction (DESIGN.md determinism contract)".into(),
             measured: format!(
-                "completed {} / {} / {}",
+                "completed {} / {}",
                 paldia_iter.completed.len(),
-                iter_s2.completed.len(),
-                iter_s3.completed.len()
+                iter_ref.completed.len()
             ),
-            holds: invariant,
+            holds: matches_reference,
         },
         Check {
             what: "continuous batching loses no goodput vs request-level".into(),
@@ -406,10 +404,10 @@ mod tests {
             decisions: 5,
             p99_token_ms_iterative: 1.5,
             p99_token_ms_request_level: 3.0,
-            shard_invariant: true,
+            engine_matches_reference: true,
         };
         let json = r.to_json();
-        assert!(json.contains("\"shard_invariant\": true"));
+        assert!(json.contains("\"engine_matches_reference\": true"));
         assert!(json.contains("\"p99_token_ms_iterative\": 1.500000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -53,9 +53,8 @@ pub struct TimingReport {
     pub commit: String,
     /// Worker cap the run executed with.
     pub jobs: usize,
-    /// Shard count the simulations executed with. Only elastic
-    /// multi-tenant fleets split across shards; every other run is one
-    /// partition at every count.
+    /// The `--shards` value the binary ran with. Only the `--stress`
+    /// fleet splits across shards; every figure cell is one partition.
     pub shards: u32,
     /// Seed base.
     pub seed: u64,

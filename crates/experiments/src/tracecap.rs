@@ -8,11 +8,9 @@
 //! observation-only: the returned [`RunResult`] is bit-identical to the
 //! same run without the sink.
 
-use crate::common::{default_shards, SchemeKind};
+use crate::common::{Driver, SchemeKind};
 use crate::scenarios;
-use paldia_cluster::{
-    run_simulation_traced_sharded, FailoverPolicyKind, FaultPlan, RunResult, SimConfig,
-};
+use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
 use paldia_hw::Catalog;
 use paldia_obs::{RingSink, TraceEvent, TraceSink};
 use paldia_workloads::MlModel;
@@ -67,19 +65,18 @@ pub fn capture_primary_run_with(
     faults: Option<(FaultPlan, FailoverPolicyKind)>,
     sink: &mut dyn TraceSink,
 ) -> RunResult {
-    capture_primary_run_sharded(quick, seed, faults, sink, default_shards())
+    capture_primary_run_on(Driver::Engine, quick, seed, faults, sink)
 }
 
-/// [`capture_primary_run_with`] with an explicit shard count. The capture is
-/// a single-tenant run, which is one partition at every shard count, so
-/// the captured span stream — `RunSummary` dispatched-event count
-/// included — is identical at every count.
-pub fn capture_primary_run_sharded(
+/// [`capture_primary_run_with`] on the given [`Driver`]: the determinism
+/// tests capture the same run on the reference driver and demand the same
+/// decision stream.
+pub fn capture_primary_run_on(
+    driver: Driver,
     quick: bool,
     seed: u64,
     faults: Option<(FaultPlan, FailoverPolicyKind)>,
     sink: &mut dyn TraceSink,
-    shards: u32,
 ) -> RunResult {
     let workloads = if quick {
         vec![scenarios::azure_workload_truncated(
@@ -98,14 +95,13 @@ pub fn capture_primary_run_sharded(
     let scheme = SchemeKind::Paldia;
     let mut policy = scheme.build(&workloads);
     let initial = scheme.initial_hw(&workloads, &catalog, cfg.slo_ms);
-    run_simulation_traced_sharded(
+    driver.run(
         &workloads,
         policy.as_mut(),
         initial,
         catalog,
         &cfg,
-        sink,
-        shards,
+        Some(sink),
     )
 }
 

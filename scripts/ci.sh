@@ -15,22 +15,20 @@
 #      build under -D missing_docs: every public item has rustdoc
 #   6. cargo build --release  — the tier-1 build
 #   7. cargo test -q          — root integration tests (tier-1 gate)
-#   8. determinism replay + shard invariance again under PALDIA_SHARDS=3
-#      — the partitioned fleet path must replay bit-identically too
-#   9. repro --diff-golden    — the current build must reproduce both committed
+#   8. repro --diff-golden    — the current build must reproduce both committed
 #      golden decision logs (quick + LLM) bit for bit (re-bless intentional
 #      policy changes with scripts/rebless.sh)
-#  10. repro --llm-smoke      — the iteration-level LLM storm scenario at
-#      shards 1 and 3, decision streams diffed empty in both directions
-#      (target/llm-report.json)
-#  11. serve-smoke            — the wall-clock serving shell replays the quick
+#   9. repro --llm-smoke      — the iteration-level LLM storm scenario on
+#      the partition engine and on the reference driver, decision streams
+#      diffed empty in both directions (target/llm-report.json)
+#  10. serve-smoke            — the wall-clock serving shell replays the quick
 #      capture over loopback TCP and must diff divergence-free against the
 #      virtual-clock session in both directions (target/serve-report.json)
-#  12. cargo test --workspace — every crate's unit/property/integration tests
-#  13. perfbench tests       — the outside-in benchmark package (its own
+#  11. cargo test --workspace — every crate's unit/property/integration tests
+#  12. perfbench tests       — the outside-in benchmark package (its own
 #      workspace) builds against the crates' public API and its tests pass,
 #      so an API break fails CI
-#  14. perfbench smoke        — one short llm-storm run at --trace 0, then
+#  13. perfbench smoke        — one short llm-storm run at --trace 0, then
 #      --trace 1; each must end with a result line reporting
 #      "correct": true
 set -euo pipefail
@@ -59,15 +57,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> PALDIA_SHARDS=3 cargo test -q --test determinism_replay --test shard_invariance"
-PALDIA_SHARDS=3 cargo test -q --test determinism_replay --test shard_invariance
-
 echo "==> repro --diff-golden (decision-log regression gates, quick + llm)"
 cargo run --release -q -p paldia-experiments --bin repro -- --diff-golden
 
-echo "==> repro --llm-smoke (iteration-level shard-invariance gate)"
-# Runs the quick LLM storm scenario at shards 1 and 3 and requires the
-# decision streams to diff empty in both directions. Publishes
+echo "==> repro --llm-smoke (iteration-level engine-vs-reference gate)"
+# Runs the quick LLM storm scenario on the partition engine and on the
+# reference driver and requires identical event streams and decision
+# streams that diff empty in both directions. Publishes
 # target/llm-report.json.
 cargo run --release -q -p paldia-experiments --bin repro -- --llm-smoke \
     --report target/llm-report.json

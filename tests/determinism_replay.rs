@@ -18,7 +18,7 @@ use paldia_cluster::{FailoverPolicyKind, FaultPlan, RunResult, SimConfig};
 use paldia_core::pool;
 use paldia_experiments::llm_iter::{capture_llm_run, LlmRunOpts};
 use paldia_experiments::scenarios::azure_workload_truncated;
-use paldia_experiments::{run_grid, tracecap, GridCell, RunOpts, SchemeKind};
+use paldia_experiments::{run_grid, tracecap, Driver, GridCell, RunOpts, SchemeKind};
 use paldia_hw::Catalog;
 use paldia_obs::{
     diff_decision_streams, event_to_jsonl, RingSink, ScopeRollup, TraceAttribution, TraceEvent,
@@ -92,23 +92,21 @@ fn replaying_a_grid_is_bit_identical() {
 
 /// The decision-event stream is part of the replay contract too — not
 /// just the metrics it produces. Two in-process captures of the same
-/// quick primary run, and a capture at shards = 3, must emit
+/// quick primary run, and a capture on the reference driver (every
+/// arrival sampled up front onto one serial heap), must emit
 /// bit-identical decision streams: same ticks, same candidate tables,
 /// same flags, byte-for-byte in JSONL. The decision differ must agree,
 /// reporting an empty `DiffReport` in both directions for every pair.
-/// (`scripts/ci.sh` additionally reruns this test under
-/// `PALDIA_SHARDS=3`, which changes the *default* shard count; the
-/// explicit shard counts here cover both regardless of the environment.)
 #[test]
-fn decision_stream_replays_bit_identical_across_shards() {
+fn decision_stream_replays_bit_identical_and_matches_reference() {
     let seed = 1_000u64;
-    let capture = |shards: u32| -> Vec<TraceEvent> {
+    let capture = |driver: Driver| -> Vec<TraceEvent> {
         let mut sink = RingSink::new(tracecap::CAPTURE_CAPACITY);
-        let _ = tracecap::capture_primary_run_sharded(true, seed, None, &mut sink, shards);
+        let _ = tracecap::capture_primary_run_on(driver, true, seed, None, &mut sink);
         sink.into_events()
     };
-    // Decisions only, seq zeroed: the sharded merge re-assigns global
-    // sequence numbers, which carry no decision content.
+    // Decisions only, seq zeroed: sequence numbers count every emitted
+    // event, and carry no decision content.
     let decision_lines = |events: &[TraceEvent]| -> Vec<String> {
         events
             .iter()
@@ -120,9 +118,9 @@ fn decision_stream_replays_bit_identical_across_shards() {
             })
             .collect()
     };
-    let base = capture(1);
-    let rerun = capture(1);
-    let sharded = capture(3);
+    let base = capture(Driver::Engine);
+    let rerun = capture(Driver::Engine);
+    let reference = capture(Driver::Reference);
     assert!(
         !decision_lines(&base).is_empty(),
         "quick capture emitted no decisions"
@@ -134,14 +132,14 @@ fn decision_stream_replays_bit_identical_across_shards() {
     );
     assert_eq!(
         decision_lines(&base),
-        decision_lines(&sharded),
-        "partitioned engine (shards=3) emitted a different decision stream"
+        decision_lines(&reference),
+        "the partition engine and the reference driver emitted different decision streams"
     );
     let pairs: [(&str, &[TraceEvent], &[TraceEvent]); 4] = [
         ("rerun vs base", &rerun, &base),
         ("base vs rerun", &base, &rerun),
-        ("sharded vs base", &sharded, &base),
-        ("base vs sharded", &base, &sharded),
+        ("reference vs base", &reference, &base),
+        ("base vs reference", &base, &reference),
     ];
     for (label, a, b) in pairs {
         let report = diff_decision_streams(a, b);
@@ -155,13 +153,12 @@ fn decision_stream_replays_bit_identical_across_shards() {
 }
 
 /// The iteration-level LLM mode joins the replay contract: a clean and a
-/// cold-start-storm scenario, each run at shards 1 (twice, in-process)
-/// and shards 3, must agree on every bit of observable output — the
-/// metric fingerprint, the attribution rollup, and the decision stream
-/// byte-for-byte in JSONL (seq zeroed, as above, since the sharded merge
-/// re-assigns global sequence numbers).
+/// cold-start-storm scenario, each run on the partition engine (twice,
+/// in-process) and on the reference driver, must agree on every bit of
+/// observable output — the metric fingerprint, the attribution rollup, and
+/// the decision stream byte-for-byte in JSONL (seq zeroed, as above).
 #[test]
-fn llm_mode_replays_bit_identical_across_shards() {
+fn llm_mode_replays_bit_identical_and_matches_reference() {
     let seed = 1_000u64;
     let decision_lines = |events: &[TraceEvent]| -> Vec<String> {
         events
@@ -176,14 +173,14 @@ fn llm_mode_replays_bit_identical_across_shards() {
     };
     for storm in [false, true] {
         let label = if storm { "storm" } else { "clean" };
-        let capture = |shards: u32| {
+        let capture = |driver: Driver| {
             let (events, result) = capture_llm_run(&LlmRunOpts {
                 seed,
                 secs: 90,
                 scheme: SchemeKind::Paldia,
                 iterative: true,
                 storm,
-                shards,
+                driver,
             });
             let rollup = TraceAttribution::from_events(&events)
                 .rollup(None)
@@ -195,16 +192,16 @@ fn llm_mode_replays_bit_identical_across_shards() {
                 decision_lines(&events),
             )
         };
-        let base = capture(1);
-        let rerun = capture(1);
-        let sharded = capture(3);
+        let base = capture(Driver::Engine);
+        let rerun = capture(Driver::Engine);
+        let reference = capture(Driver::Reference);
         assert!(!base.0.is_empty(), "{label}: empty metric fingerprint");
         assert!(!base.1.is_empty(), "{label}: empty attribution rollup");
         assert!(!base.2.is_empty(), "{label}: no decisions captured");
         assert_eq!(base, rerun, "{label}: second in-process LLM run diverged");
         assert_eq!(
-            base, sharded,
-            "{label}: partitioned engine (shards=3) diverged in LLM mode"
+            base, reference,
+            "{label}: the partition engine and the reference driver diverged in LLM mode"
         );
     }
 }

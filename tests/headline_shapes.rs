@@ -252,13 +252,14 @@ fn llm_continuous_batching_beats_request_level_token_tail() {
     // least as many requests (per-token retirement frees capacity, it
     // never strands it).
     use paldia::experiments::llm_iter::{p99_token_latency_ms, run_llm, LlmRunOpts};
+    use paldia::experiments::Driver;
     let base = LlmRunOpts {
         seed: 1_000,
         secs: 180,
         scheme: SchemeKind::Paldia,
         iterative: true,
         storm: true,
-        shards: 1,
+        driver: Driver::Engine,
     };
     let iterative = run_llm(&base);
     let request_level = run_llm(&LlmRunOpts {
